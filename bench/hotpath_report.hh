@@ -5,7 +5,7 @@
  * pre-hotpath baseline on the paper's stride workload and emit
  * `BENCH_hotpath.json` (schema "scamv-hotpath-v1").
  *
- * Three configurations run the same campaign (same seed, programs,
+ * Two configurations run the same campaign (same seed, programs,
  * tests):
  *
  *  - baseline_oneshot: SolverMode::Oneshot (fresh solver per test,
@@ -14,11 +14,9 @@
  *    hot-path engine replaces;
  *  - hotpath_incremental: SolverMode::Incremental with batched
  *    simulation on — one live solver per pair, one arena-backed core
- *    per experiment;
- *  - hotpath_portfolio: like incremental, plus the sampler scout on
- *    genuine budget exhaustion (never fires on this workload).
+ *    per experiment.
  *
- * All three must produce byte-identical campaign artifacts (verdict
+ * Both must produce byte-identical campaign artifacts (verdict
  * counters and the ExperimentDb CSV) — the report's "deterministic"
  * field — and the incremental configuration must beat the baseline by
  * `kMinSpeedup` end-to-end, which is the report's self-gate.
@@ -77,7 +75,7 @@ strideWorkload()
 }
 
 inline ModeResult
-runMode(smt::SolverMode mode, int sim_batch)
+runMode(smt::SolverMode mode, bool sim_batch)
 {
     core::ExperimentDb db;
     core::PipelineConfig cfg = strideWorkload();
@@ -151,15 +149,12 @@ writeHotpathReport(const std::string &path = "BENCH_hotpath.json")
     using hotpath_detail::ModeResult;
 
     const ModeResult baseline =
-        hotpath_detail::runMode(smt::SolverMode::Oneshot, 0);
+        hotpath_detail::runMode(smt::SolverMode::Oneshot, false);
     const ModeResult hotpath =
-        hotpath_detail::runMode(smt::SolverMode::Incremental, 1);
-    const ModeResult portfolio =
-        hotpath_detail::runMode(smt::SolverMode::Portfolio, 1);
+        hotpath_detail::runMode(smt::SolverMode::Incremental, true);
 
     const bool deterministic =
-        hotpath_detail::sameArtifacts(baseline, hotpath) &&
-        hotpath_detail::sameArtifacts(baseline, portfolio);
+        hotpath_detail::sameArtifacts(baseline, hotpath);
     const double speedup = hotpath.wallSeconds > 0
                                ? baseline.wallSeconds /
                                      hotpath.wallSeconds
@@ -171,9 +166,6 @@ writeHotpathReport(const std::string &path = "BENCH_hotpath.json")
     std::printf("[hotpath] hotpath  (incremental, batched):   "
                 "%.3fs  p50 %.4fs  p99 %.4fs\n",
                 hotpath.wallSeconds, hotpath.p50, hotpath.p99);
-    std::printf("[hotpath] hotpath  (portfolio, batched):     "
-                "%.3fs  p50 %.4fs  p99 %.4fs\n",
-                portfolio.wallSeconds, portfolio.p50, portfolio.p99);
     std::printf("[hotpath] speedup: %.2fx (gate: %.1fx)  "
                 "deterministic: %s\n",
                 speedup, kMinSpeedup, deterministic ? "yes" : "NO");
@@ -194,9 +186,6 @@ writeHotpathReport(const std::string &path = "BENCH_hotpath.json")
     body += ",\n";
     hotpath_detail::appendMode(body, "hotpath_incremental",
                                "incremental", 1, hotpath);
-    body += ",\n";
-    hotpath_detail::appendMode(body, "hotpath_portfolio", "portfolio",
-                               1, portfolio);
     body += "\n  },\n";
     std::snprintf(buf, sizeof buf,
                   "  \"speedup\": %.3f,\n  \"min_speedup\": %.2f,\n"

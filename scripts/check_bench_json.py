@@ -15,11 +15,12 @@ Three shapes are recognized (auto-detected per file):
    bench/coverage_report.hh): per-template coverage-ledger atoms;
    when the bench's ``comparison`` section is present, the adaptive
    scheduler must beat uniform by its declared ``min_ratio``;
- - ``scamv-hotpath-v1`` from bench/hotpath_report.hh: hot-path
-   engine comparison (batched simulation + solver modes); every mode
-   must carry p50 <= p99 per-program latencies, the end-to-end
-   speedup must meet its declared ``min_speedup`` and the modes must
-   agree byte-for-byte (``deterministic``);
+ - ``scamv-hotpath-v1`` from bench/hotpath_report.hh: the hot path
+   (incremental solver, batched simulation) against the oneshot,
+   unbatched baseline; every mode must carry p50 <= p99 per-program
+   latencies, the end-to-end speedup must meet its declared
+   ``min_speedup`` and the modes must agree byte-for-byte
+   (``deterministic``);
  - ``scamv-shard-v1`` from bench/shard_report.hh: sharded campaign
    comparison (N concurrent workers + coordinator merge vs the
    1-process reference); at least 2 shards, the end-to-end speedup

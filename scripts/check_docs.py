@@ -19,12 +19,17 @@ fails when the docs and the code drift apart:
  - every SC kernel in ``examples/corpus/`` must be listed in the
    README corpus table (a ``\`<name>.sc\``` mention), and the README
    must not list kernels that no longer exist — a corpus change
-   cannot land without its one-line side-channel story.
+   cannot land without its one-line side-channel story;
+ - the design and operator docs (``DESIGN.md``, ``ARCHITECTURE.md``,
+   ``OPERATIONS.md``, ``EXPERIMENTS.md``) may mention only ``SCAMV_*``
+   variables that code in ``src/`` or ``tests/`` reads, so prose
+   about a deleted knob cannot outlive it.
 
 Only quoted literals count as usage — prose mentions in comments do
 not — so the check tracks real ``getenv``/``envLong``/``envDouble``
 lookups.  Build-system options (``SCAMV_ENABLE_*`` CMake flags) are
-not environment variables and are ignored.
+not environment variables and are ignored, as is the bare
+``SCAMV_SVC_`` prefix naming the service's variable family.
 
 Exit status is non-zero on any mismatch; run as the CI ``docs-lint``
 step and locally via ``python3 scripts/check_docs.py``.
@@ -38,6 +43,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE_SUFFIXES = {".cc", ".hh", ".cpp", ".hpp"}
 USE_RE = re.compile(r'"(SCAMV_[A-Z0-9_]+)"')
 ROW_RE = re.compile(r"^\|\s*`(SCAMV_[A-Z0-9_]+)`")
+MENTION_RE = re.compile(r"SCAMV_[A-Z0-9_]+")
+PROSE_DOCS = ("DESIGN.md", "ARCHITECTURE.md", "OPERATIONS.md",
+              "EXPERIMENTS.md")
 
 
 def used_vars(*dirs):
@@ -138,6 +146,22 @@ def check_corpus(readme, errors):
             f"such kernel")
 
 
+def check_prose(all_used, errors):
+    for name in PROSE_DOCS:
+        path = ROOT / name
+        if not path.exists():
+            continue
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            for var in MENTION_RE.findall(line):
+                if (var in all_used or var == "SCAMV_SVC_"
+                        or var.startswith("SCAMV_ENABLE_")):
+                    continue
+                errors.append(
+                    f"{name}:{lineno} mentions {var}, but no code in "
+                    f"src/ or tests/ reads it")
+
+
 def main():
     readme = ROOT / "README.md"
     src_used = used_vars("src")
@@ -156,6 +180,7 @@ def main():
     check_fault_sites(readme, errors)
     check_operations(src_used, errors)
     check_corpus(readme, errors)
+    check_prose(all_used, errors)
 
     if errors:
         for e in errors:

@@ -33,17 +33,18 @@ namespace scamv::core {
 using expr::Expr;
 using expr::ExprContext;
 
+static bool
+isSpeculative(obs::ModelKind k)
+{
+    return k == obs::ModelKind::Mspec || k == obs::ModelKind::Mspec1 ||
+           k == obs::ModelKind::MspecPage;
+}
+
 bool
 needsSpecInstrumentation(const PipelineConfig &cfg)
 {
-    auto speculative = [](obs::ModelKind k) {
-        return k == obs::ModelKind::Mspec ||
-               k == obs::ModelKind::Mspec1 ||
-               k == obs::ModelKind::MspecPage;
-    };
-    if (speculative(cfg.model))
-        return true;
-    return cfg.refinement && speculative(*cfg.refinement);
+    return isSpeculative(cfg.model) ||
+           (cfg.refinement && isSpeculative(*cfg.refinement));
 }
 
 double
@@ -143,11 +144,6 @@ symmetrizeModel(Expr formula, const bir::Program &program,
 namespace {
 
 /**
- * Per-program solving state: one (possibly cache-backed) incremental
- * enumerator per path pair.  `dead` marks exhausted pairs — either
- * model blocking ran dry or the relation went Unsat/Unknown.
- */
-/**
  * One recorded mutation of a pair's live incremental solver (oneshot
  * solver mode).  What gets recorded follows what actually mutated the
  * solver: genuine solves (including budget exhaustions — they leave
@@ -163,14 +159,6 @@ struct SolverOp {
     Kind kind = Kind::Solve;
     Expr temporary = nullptr; ///< SolveWith coverage constraint
     std::int64_t budget = 0;  ///< conflict budget of the call
-};
-
-struct PairEnumerators {
-    std::vector<std::unique_ptr<qcache::CachedEnumerator>> enums;
-    std::vector<bool> dead;
-    /** Oneshot solver mode: per-pair op log, replayed onto a fresh
-     *  solver at every test (see replaySolverOps). */
-    std::vector<std::vector<SolverOp>> oplogs;
 };
 
 /**
@@ -235,16 +223,739 @@ retryBackoff(metrics::Registry &reg, const char *stage, int attempt)
 }
 
 /**
- * Run the whole experiment campaign of one program.  Pure function
- * of (cfg, task): every stochastic component is seeded from
- * deriveProgramSeed(cfg.seed, task.prog_i), and nothing outside the
- * returned ProgramOutcome is written.
+ * Delta-gated stage retry, shared by the smt, hw_run and db_write
+ * sites: call `attempt(i)` for i = 0, 1, ... until it reports
+ * success, runs clean (no injected fault fired during it) or
+ * `retry_max` extra attempts are spent, with a retryBackoff step
+ * before each retry.  Only an attempt polluted by an injected fault
+ * is re-run, so a genuine failure keeps its fault-free behaviour.
+ * @return whether the last attempt was polluted.
+ */
+template <typename Attempt>
+bool
+retryPolluted(metrics::Registry &reg, const char *stage, int retry_max,
+              Attempt &&attempt)
+{
+    for (int i = 0;; ++i) {
+        const std::uint64_t before = faults::injectedCount();
+        const bool done = attempt(i);
+        const bool polluted = faults::injectedCount() != before;
+        if (done || !polluted || i >= retry_max)
+            return polluted;
+        retryBackoff(reg, stage, i);
+    }
+}
+
+metrics::ClockMode
+clockModeFor(const PipelineConfig &cfg)
+{
+    return cfg.deterministicMetricsTiming
+               ? metrics::ClockMode::Deterministic
+               : metrics::ClockMode::Wall;
+}
+
+/**
+ * Everything the campaign stages of one program task share.  The
+ * constructor seeds the task's generator, platform and rng from
+ * deriveProgramSeed(cfg.seed, prog_i); the stages fill the remaining
+ * fields in stage order.
+ */
+struct TaskState {
+    TaskState(const PipelineConfig &c, const ProgramTask &tk,
+              metrics::Registry &r, ProgramOutcome &o, double t0,
+              const Stopwatch &w)
+        : cfg(c), task(tk), reg(r), out(o), taskT0(t0), watch(w),
+          progSeed(deriveProgramSeed(c.seed, tk.prog_i)),
+          retryMax(resolveRetryMax(c.retryMax)),
+          generator(tk.templ, progSeed,
+                    {.lineBytes = c.modelParams.geom.lineBytes}),
+          platform(c.platform, progSeed ^ 0x90153ULL),
+          rng(progSeed ^ 0xc0ffeeULL)
+    {
+        generator.setCounter(tk.prog_i);
+        if (tk.corpusIndex >= 0 && c.corpus &&
+            tk.corpusIndex < static_cast<int>(c.corpus->size()))
+            corpus = &(*c.corpus)[static_cast<std::size_t>(
+                tk.corpusIndex)];
+        // Coverage accounting is opt-in per task: the Uniform
+        // schedule without a ledger never touches the delta (or the
+        // extra clock reads of stageSolve), keeping untracked
+        // campaigns byte-identical to the pre-cover pipeline.
+        if (tk.collectCover) {
+            delta.templ = corpus ? "corpus:" + corpus->name
+                                 : gen::templateName(tk.templ);
+            delta.model = obs::modelName(c.model);
+            if (c.coverage == Coverage::PcAndLine)
+                delta.universe = c.modelParams.geom.numSets;
+        }
+    }
+
+    const PipelineConfig &cfg;
+    const ProgramTask &task;
+    metrics::Registry &reg;
+    ProgramOutcome &out;
+    cover::ProgramDelta &delta = out.coverDelta;
+    const double taskT0;   ///< registry clock at task start
+    const Stopwatch &watch; ///< wall clock since task start
+    const std::uint64_t progSeed;
+    const int retryMax;
+    gen::ProgramGenerator generator;
+    harness::Platform platform;
+    Rng rng;
+    ExprContext ctx;
+    /** Pre-compiled SC kernel replacing the generator draw (corpus
+     *  workloads, see PipelineConfig::corpus), or nullptr. */
+    const front::CompiledProgram *corpus = nullptr;
+
+    bir::Program program, modelProg;
+    std::unique_ptr<sym::Annotator> annotator;
+    /** Classes the screen proved reachable (empty: not screened). */
+    std::vector<bool> screenMask;
+    std::vector<sym::PathResult> paths1, paths2, trainingPaths;
+    rel::RelationConfig relCfg;
+    std::optional<rel::RelationSynthesizer> relation;
+
+    // Per-pair enumeration state, sized when the tests start.
+    bool oneshot = false;
+    bool useEnumCache = false;
+    std::vector<Expr> blockVars;
+    /** Relation formulas, synthesized lazily (formulaFor). */
+    std::vector<Expr> formulas;
+    /** One (possibly cache-backed) incremental enumerator per pair. */
+    std::vector<std::unique_ptr<qcache::CachedEnumerator>> enums;
+    /** Exhausted pairs: model blocking ran dry or the relation went
+     *  Unsat/Unknown. */
+    std::vector<bool> dead;
+    /** Oneshot mode: per-pair op log, replayed onto a fresh solver at
+     *  every test (see replaySolverOps). */
+    std::vector<std::vector<SolverOp>> oplogs;
+    /** Training inputs, cached per s1-path index. */
+    std::unordered_map<int, std::optional<harness::ProgramInput>>
+        trainingCache;
+    std::size_t rr = 0;    ///< round-robin cursor over path pairs
+    int faultFailures = 0; ///< consecutive injected-fault failures
+    int planDraw = 0;      ///< monotone cursor into the class plan
+};
+
+/** One test iteration: the chosen pair and what the stages derive. */
+struct TestState {
+    std::size_t pairIdx = 0;
+    const rel::PathPair *pair = nullptr;
+    Expr formula = nullptr;
+    std::optional<expr::Assignment> model;
+    int lineCls1 = -1, lineCls2 = -1;
+    harness::TestCase tc;
+    std::optional<harness::ProgramInput> training;
+    harness::ExperimentResult result;
+};
+
+/** Freeze the task's registry into the outcome.  Called on every
+ *  exit path, so even pair-less programs contribute a snapshot. */
+void
+finishTask(TaskState &t)
+{
+    if (t.out.hasCex)
+        t.reg.counter("pipeline.programs_with_cex").inc();
+    // One now() call feeds both the gauge and the per-program latency
+    // histogram (p50/p99 in exports), keeping the deterministic-clock
+    // tick count unchanged.
+    const double task_elapsed = t.reg.now() - t.taskT0;
+    t.reg.gauge("pipeline.task_seconds").add(task_elapsed);
+    t.reg.histogram("pipeline.program_seconds").observe(task_elapsed);
+    t.out.metrics = t.reg.snapshot();
+    t.out.taskSeconds = t.watch.seconds();
+}
+
+/** Stage generate: draw the program (or load the corpus kernel) and
+ *  build the observation annotator (Sections 4.2.2, 5.1). */
+void
+stageGenerate(TaskState &t, bool instrument)
+{
+    const PipelineConfig &cfg = t.cfg;
+    metrics::PhaseTimer phase(t.reg, "generate");
+    if (t.corpus) {
+        t.program = t.corpus->program;
+        t.program.setName(t.corpus->name + "#" +
+                          std::to_string(t.task.prog_i));
+    } else {
+        t.program = t.generator.next();
+    }
+    t.out.name = t.program.name();
+    t.modelProg = t.program;
+    if (instrument) {
+        if (cfg.rewriteJumps)
+            t.modelProg = bir::rewriteJumpsToCondBranches(t.modelProg);
+        t.modelProg = bir::instrumentSpeculation(t.modelProg);
+    }
+    if (cfg.refinement) {
+        t.annotator = std::make_unique<obs::RefinementPair>(
+            obs::makeModel(cfg.model, cfg.modelParams),
+            obs::makeModel(*cfg.refinement, cfg.modelParams));
+    } else {
+        t.annotator = obs::makeModel(cfg.model, cfg.modelParams);
+    }
+}
+
+/**
+ * Stage screen: the triage pre-screen (src/triage/screen.hh).  It runs
+ * before any rng, solver or platform use and is a pure function of
+ * the instrumented program, so a screened-out program leaves the
+ * task's rng streams untouched and the surviving programs replay
+ * byte-identically with the screen on or off.  The class mask of a
+ * surviving program lets the adaptive coverage draw skip classes the
+ * program provably cannot touch.  A screened-out program is frozen
+ * while the phase is still open, so its snapshot carries no
+ * triage_screen observation.
+ * @return false when the program was screened out (and finished).
+ */
+bool
+stageScreen(TaskState &t)
+{
+    const PipelineConfig &cfg = t.cfg;
+    if (cfg.triageScreen <= 0 || !cfg.refinement)
+        return true;
+    metrics::PhaseTimer phase(t.reg, "triage_screen");
+    triage::ScreenResult screen = triage::screenProgram(
+        t.modelProg, cfg.model, *cfg.refinement, cfg.modelParams);
+    if (screen.verdict == triage::ScreenVerdict::Boring) {
+        t.reg.counter("triage.screened").inc();
+        t.reg.counter("triage.screened." + screen.reason).inc();
+        finishTask(t);
+        return false;
+    }
+    t.screenMask = std::move(screen.classMask);
+    return true;
+}
+
+/** Stage symexec: execute the instrumented program for s1 and s2. */
+void
+stageSymexec(TaskState &t)
+{
+    metrics::PhaseTimer phase(t.reg, "symbolic_exec");
+    t.paths1 = sym::execute(t.ctx, t.modelProg, *t.annotator, {"_1"});
+    t.paths2 = sym::execute(t.ctx, t.modelProg, *t.annotator, {"_2"});
+}
+
+/** Stage relations: pair the s1/s2 paths (Section 5.4). */
+void
+stageRelations(TaskState &t)
+{
+    const PipelineConfig &cfg = t.cfg;
+    t.relCfg.refine = cfg.refinement.has_value();
+    t.relCfg.region = cfg.region;
+    t.relCfg.geom = cfg.modelParams.geom;
+    if (t.corpus) {
+        // The kernel's declared security contract: public inputs are
+        // pinned equal across s1/s2, secrets stay free to differ.
+        t.relCfg.lowRegs = t.corpus->publicRegs;
+        t.relCfg.lowMemAddrs = t.corpus->publicMemAddrs;
+    }
+    metrics::PhaseTimer phase(t.reg, "relation_synthesis");
+    t.relation.emplace(t.ctx, std::move(t.paths1), std::move(t.paths2),
+                       t.relCfg);
+}
+
+/** Stage training: the third symbolic execution (suffix "_t"), whose
+ *  paths feed predictor-training inputs (Section 5.3). */
+void
+stageTrainingPaths(TaskState &t)
+{
+    if (!t.cfg.train)
+        return;
+    metrics::PhaseTimer phase(t.reg, "symbolic_exec");
+    auto mpc = obs::makeModel(obs::ModelKind::Mpc);
+    t.trainingPaths = sym::execute(t.ctx, t.modelProg, *mpc, {"_t"});
+}
+
+/** The pair's relation formula, synthesized once (under its own
+ *  relation_synthesis timer) and reused by every later test. */
+Expr
+formulaFor(TaskState &t, std::size_t idx)
+{
+    if (!t.formulas[idx]) {
+        metrics::PhaseTimer phase(t.reg, "relation_synthesis");
+        t.formulas[idx] =
+            t.relation->formulaFor(t.relation->pairs()[idx]);
+    }
+    return t.formulas[idx];
+}
+
+/** The training input for a pair's s1 path, cached per path. */
+std::optional<harness::ProgramInput>
+trainingInputFor(TaskState &t, const rel::PathPair &pair)
+{
+    if (!t.cfg.train)
+        return std::nullopt;
+    auto hit = t.trainingCache.find(pair.idx1);
+    if (hit != t.trainingCache.end())
+        return hit->second;
+    std::optional<harness::ProgramInput> input;
+    auto formula = rel::RelationSynthesizer::trainingFormula(
+        t.ctx, t.trainingPaths, t.relation->paths1()[pair.idx1],
+        t.relCfg);
+    if (formula) {
+        auto solved = qcache::solveOnce(t.ctx, *formula,
+                                        t.cfg.conflictBudget,
+                                        t.cfg.queryCache);
+        if (solved.outcome == smt::Outcome::Sat)
+            input = harness::inputFromAssignment(*solved.model, "_t");
+    }
+    t.trainingCache.emplace(pair.idx1, input);
+    return input;
+}
+
+/**
+ * One Mline coverage draw: least-covered-first from the round plan
+ * when the adaptive scheduler supplied one, the classic random draw
+ * otherwise (same rng sequence as ever).  Records the drawn classes
+ * in the test.
+ */
+std::optional<rel::LineCoverageDraw>
+drawLineCoverage(TaskState &t, TestState &test)
+{
+    const ProgramTask &task = t.task;
+    std::optional<rel::LineCoverageDraw> cov;
+    if (task.plan && !task.plan->classOrder.empty()) {
+        int cls;
+        if (t.screenMask.empty()) {
+            cls = cover::planClass(*task.plan, task.slot, t.planDraw++,
+                                   task.stride);
+        } else {
+            // Screened class gating: classes outside the program's
+            // abstract reach don't consume draws.
+            std::int64_t skipped = 0;
+            cls = cover::planClassAllowed(*task.plan, task.slot,
+                                          t.planDraw, task.stride,
+                                          t.screenMask, &skipped);
+            if (skipped)
+                t.reg.counter("triage.skipped_draws").add(skipped);
+        }
+        cov = t.relation->lineCoverageConstraintFor(*test.pair, cls,
+                                                    cls);
+    } else {
+        cov = t.relation->lineCoverageConstraint(*test.pair, t.rng);
+    }
+    if (cov) {
+        test.lineCls1 = cov->class1;
+        test.lineCls2 = cov->class2;
+        if (task.collectCover) {
+            t.delta.countDraw(cov->class1);
+            if (cov->class2 != cov->class1)
+                t.delta.countDraw(cov->class2);
+        }
+    }
+    return cov;
+}
+
+/**
+ * Sampler strategy: one repair-sampler draw, with the complete solver
+ * as fallback.  @return true when the pair should retire (the
+ * fallback found no model).
+ */
+bool
+solveSampled(TaskState &t, TestState &test, std::int64_t budget)
+{
+    const PipelineConfig &cfg = t.cfg;
+    Expr f = test.formula;
+    if (cfg.coverage == Coverage::PcAndLine) {
+        if (auto cov = drawLineCoverage(t, test))
+            f = t.ctx.land(f, cov->constraint);
+    }
+    smt::SamplerConfig sampler_cfg;
+    sampler_cfg.regionBase = cfg.region.base;
+    sampler_cfg.regionLimit = cfg.region.limit();
+    smt::RepairSampler sampler(t.ctx, f, t.rng, sampler_cfg);
+    test.model = sampler.sample();
+    if (test.model)
+        return false;
+    auto solved = qcache::solveOnce(t.ctx, f, budget, cfg.queryCache);
+    if (solved.outcome != smt::Outcome::Sat)
+        return true;
+    test.model = std::move(solved.model);
+    return false;
+}
+
+/**
+ * Canonical and RandomPhases strategies: one enumeration step on the
+ * pair's incremental solver (rebuilt from its op log first in oneshot
+ * mode).  @return true when the pair should retire.
+ */
+bool
+solveEnumerated(TaskState &t, TestState &test, int attempt,
+                std::int64_t budget)
+{
+    const PipelineConfig &cfg = t.cfg;
+    auto &en = t.enums[test.pairIdx];
+    if (!en) {
+        // Blocking variables are fixed at construction on the cached
+        // path (they parameterize the cache's enumeration chain); the
+        // uncached path passes them at blocking time, as it always
+        // did.
+        en = std::make_unique<qcache::CachedEnumerator>(
+            t.ctx, test.formula,
+            t.useEnumCache ? t.blockVars : std::vector<Expr>{},
+            cfg.blockingBits, t.useEnumCache ? cfg.queryCache : nullptr);
+    }
+    if (cfg.strategy == SolveStrategy::RandomPhases)
+        en->solver().randomizePhases(t.rng);
+
+    // Oneshot mode: every test solves on a freshly built solver.  The
+    // uncached paths (which drive the raw solver below) rebuild it
+    // from this pair's op log; the cached path rebuilds lazily from
+    // the cache's own enumeration prefix on the next miss.
+    std::vector<SolverOp> *oplog =
+        t.oneshot && !en->usesCache() ? &t.oplogs[test.pairIdx]
+                                      : nullptr;
+    if (t.oneshot && attempt == 0) {
+        en->discardSolver();
+        if (oplog && !oplog->empty())
+            replaySolverOps(*en, *oplog, t.blockVars, cfg.blockingBits);
+    }
+
+    smt::Outcome outcome = smt::Outcome::Unsat;
+    if (cfg.coverage == Coverage::PcAndLine) {
+        // Randomly drawn set-index classes often contradict the
+        // relation (e.g. distinct classes pinned inside the attacker
+        // region); redraw a few times before charging a generation
+        // failure.
+        for (int redraw = 0; redraw < cfg.coverageRetries &&
+                             outcome != smt::Outcome::Sat;
+             ++redraw) {
+            auto cov = drawLineCoverage(t, test);
+            const std::uint64_t solve_inj0 = faults::injectedCount();
+            const std::uint64_t sat_inj0 =
+                faults::injectedCountAt(faults::Site::SatTimeout);
+            outcome = cov ? en->solver().solveWith(cov->constraint,
+                                                   budget)
+                          : en->solver().solve(budget);
+            // Record for replay what mutated the solver: a clean call
+            // in full (a genuine exhaustion leaves learned clauses
+            // behind); an injected SmtUnknown not at all (it returns
+            // before touching solver state); an injected SatTimeout
+            // under a coverage constraint as a blast-only Prepare
+            // (solveWith blasts the temporary before the SAT core
+            // cuts the search short).
+            if (oplog && faults::injectedCount() == solve_inj0) {
+                oplog->push_back({cov ? SolverOp::Kind::SolveWith
+                                      : SolverOp::Kind::Solve,
+                                  cov ? cov->constraint : nullptr,
+                                  budget});
+            } else if (oplog && cov &&
+                       faults::injectedCountAt(
+                           faults::Site::SatTimeout) != sat_inj0) {
+                oplog->push_back(
+                    {SolverOp::Kind::Prepare, cov->constraint, 0});
+            }
+            if (!cov)
+                break;
+        }
+    } else if (en->usesCache()) {
+        // Cached enumeration step: solve + model + block in one
+        // cacheable unit.
+        auto step = en->next(budget);
+        outcome = step.outcome;
+        if (outcome == smt::Outcome::Sat) {
+            test.model = std::move(step.model);
+            if (en->dead())
+                t.dead[test.pairIdx] = true;
+        }
+    } else {
+        const std::uint64_t solve_inj0 = faults::injectedCount();
+        outcome = en->solver().solve(budget);
+        if (oplog && faults::injectedCount() == solve_inj0)
+            oplog->push_back({SolverOp::Kind::Solve, nullptr, budget});
+    }
+
+    if (outcome == smt::Outcome::Sat) {
+        if (!en->usesCache()) {
+            test.model = en->solver().model();
+            if (!en->solver().blockCurrentModel(t.blockVars,
+                                                cfg.blockingBits))
+                t.dead[test.pairIdx] = true;
+            if (oplog)
+                oplog->push_back({SolverOp::Kind::Block, nullptr, 0});
+        }
+        return false;
+    }
+    // Without per-test coverage constraints an Unsat relation stays
+    // Unsat: retire the pair.
+    return cfg.coverage != Coverage::PcAndLine ||
+           outcome == smt::Outcome::Unknown;
+}
+
+/**
+ * Stage solve: one model of the pair's relation, under the `smt`
+ * phase and the smt retry site; each retry doubles the per-query
+ * conflict budget.  The formula is synthesized before the phase opens
+ * so nested relation_synthesis time is not charged twice.
+ * @return whether a model was found.
+ */
+bool
+stageSolve(TaskState &t, TestState &test)
+{
+    const PipelineConfig &cfg = t.cfg;
+    test.formula = formulaFor(t, test.pairIdx);
+    const double smt_t0 = t.task.collectCover ? t.reg.now() : 0.0;
+    {
+        metrics::PhaseTimer phase(t.reg, "smt");
+        bool retire_pair = false;
+        const bool polluted = retryPolluted(
+            t.reg, "smt", t.retryMax, [&](int attempt) {
+                const std::int64_t budget =
+                    cfg.conflictBudget << std::min(attempt, 8);
+                retire_pair =
+                    cfg.strategy == SolveStrategy::Sampler
+                        ? solveSampled(t, test, budget)
+                        : solveEnumerated(t, test, attempt, budget);
+                return test.model.has_value();
+            });
+        // A polluted failure is not attributable to the pair.
+        if (!test.model && retire_pair && !polluted)
+            t.dead[test.pairIdx] = true;
+        if (test.model && cfg.strategy == SolveStrategy::Canonical)
+            symmetrizeModel(test.formula, t.program, *test.model, t.rng,
+                            cfg.similarityBias);
+    }
+    if (t.task.collectCover) {
+        // Per-atom cost: the whole solve (including redraws) is
+        // charged to the test's final s1 class.  Deterministic under
+        // the deterministic registry clock.
+        t.delta.chargeSolver(test.lineCls1, t.reg.now() - smt_t0);
+    }
+    return test.model.has_value();
+}
+
+/**
+ * Stage measure: run the test pair (after its training input) on the
+ * platform, under the `hw_run` phase and the hw_run retry site — a
+ * run polluted by injected measurement faults is repeated in the hope
+ * of a clean repetition set.
+ */
+void
+stageMeasure(TaskState &t, TestState &test)
+{
+    test.tc.s1 = harness::inputFromAssignment(*test.model, "_1");
+    test.tc.s2 = harness::inputFromAssignment(*test.model, "_2");
+    test.training = trainingInputFor(t, *test.pair);
+    {
+        metrics::PhaseTimer phase(t.reg, "hw_run");
+        retryPolluted(t.reg, "hw_run", t.retryMax, [&](int) {
+            test.result = t.platform.runExperiment(t.program, test.tc,
+                                                   test.training);
+            return false;
+        });
+    }
+    t.reg.counter("pipeline.experiments").inc();
+    if (t.task.collectCover) {
+        ++t.delta.verdicts.experiments;
+        t.delta.countHit(test.lineCls1);
+        if (test.lineCls2 != test.lineCls1)
+            t.delta.countHit(test.lineCls2);
+        ++t.delta.pathPairs[t.relation->paths1()[test.pair->idx1]
+                                .pathId() +
+                            "|" +
+                            t.relation->paths2()[test.pair->idx2]
+                                .pathId()];
+    }
+    if (test.result.flakedReps > 0) {
+        // Accepted, but on flaky measurements: the verdict has
+        // already been degraded to at most Inconclusive by the
+        // platform (unless every clean repetition differed).
+        t.reg.counter("pipeline.degraded").inc();
+    }
+}
+
+/**
+ * A counterexample as a triage finding: minimized (under the
+ * `triage_minimize` phase) when SCAMV_MINIMIZE is on, then classified
+ * by mechanism and shape.
+ */
+triage::Finding
+makeFinding(TaskState &t, const TestState &test)
+{
+    const PipelineConfig &cfg = t.cfg;
+    triage::Finding f;
+    f.progIndex = t.task.prog_i;
+    f.program = t.program.name();
+    f.instrsBefore = static_cast<int>(t.program.size());
+    f.instrsAfter = f.instrsBefore;
+    f.stateBitsBefore = triage::stateBitCount(test.tc);
+    f.stateBitsAfter = f.stateBitsBefore;
+    bir::Program core_prog = t.program;
+    harness::TestCase core_tc = test.tc;
+    if (cfg.triageMinimize > 0) {
+        // One fault decision per finding, taken *before* shrinking
+        // (the minimizer itself runs under ScopedSuppress): a flaked
+        // minimizer keeps the unminimized witness — degraded, never
+        // lost.
+        if (faults::maybeInject(faults::Site::TriageMinimizeFlake)) {
+            f.degraded = true;
+            t.reg.counter("triage.degraded").inc();
+        } else {
+            metrics::PhaseTimer phase(t.reg, "triage_minimize");
+            triage::MinimizeConfig mcfg;
+            mcfg.platform = cfg.platform;
+            mcfg.seed = t.progSeed;
+            mcfg.training = test.training;
+            auto min =
+                triage::minimizeCounterexample(t.program, test.tc, mcfg);
+            if (min.evalsUsed <= 1) {
+                // The evaluation platform could not reproduce the
+                // leak (noise): keep the original witness.
+                f.degraded = true;
+                t.reg.counter("triage.degraded").inc();
+            } else {
+                core_prog = std::move(min.program);
+                core_tc = std::move(min.tc);
+                f.minimized = true;
+                f.instrsAfter = static_cast<int>(core_prog.size());
+                f.stateBitsAfter = triage::stateBitCount(core_tc);
+                t.reg.counter("triage.minimized").inc();
+            }
+        }
+    }
+    f.mechanism = triage::classifyMechanism(
+        core_prog, core_tc, test.training,
+        cfg.refinement && isSpeculative(*cfg.refinement), cfg.platform,
+        t.progSeed);
+    f.signature = f.mechanism + "/" + triage::shapeSignature(core_prog);
+    f.core = core_prog.toString();
+    f.tc = std::move(core_tc);
+    return f;
+}
+
+/**
+ * Stage classify: log the experiment and tally its verdict; with
+ * minimization or the findings export on, a counterexample also
+ * becomes a triage finding.
+ */
+void
+stageClassify(TaskState &t, const TestState &test)
+{
+    const PipelineConfig &cfg = t.cfg;
+    const bool cover = t.task.collectCover;
+    if (cfg.database)
+        t.out.records.push_back(
+            {t.program.name(), t.program.toString(),
+             t.relation->paths1()[test.pair->idx1].pathId(), test.tc,
+             test.training.has_value(), test.lineCls1, test.lineCls2,
+             test.result.verdict, test.result.differingReps,
+             test.result.totalReps});
+
+    switch (test.result.verdict) {
+      case harness::Verdict::Counterexample:
+        t.reg.counter("pipeline.counterexamples").inc();
+        t.out.hasCex = true;
+        if (t.out.firstCexOffsetSeconds < 0)
+            t.out.firstCexOffsetSeconds = t.watch.seconds();
+        if (cover)
+            ++t.delta.verdicts.counterexamples;
+        if (cfg.triageMinimize > 0 || cfg.findingsFile)
+            t.out.findings.push_back(makeFinding(t, test));
+        break;
+      case harness::Verdict::Inconclusive:
+        t.reg.counter("pipeline.inconclusive").inc();
+        if (cover)
+            ++t.delta.verdicts.inconclusive;
+        break;
+      case harness::Verdict::Indistinguishable:
+        if (cover)
+            ++t.delta.verdicts.indistinguishable;
+        break;
+    }
+}
+
+/**
+ * The per-test stages: walk the live path pairs round-robin and run
+ * solve → measure → classify per test, until the test budget is
+ * spent, every pair is exhausted or the program is quarantined.
+ */
+void
+runTests(TaskState &t)
+{
+    const PipelineConfig &cfg = t.cfg;
+    const auto &pairs = t.relation->pairs();
+    if (pairs.empty())
+        return;
+
+    // Query cache: the enumerated (Canonical/Pc) path threads every
+    // solve through it; other strategies keep their incremental
+    // solver access but still cache the one-shot fallback/training
+    // queries.  Without a cache every wrapper degrades to the exact
+    // pre-cache call sequence.
+    t.useEnumCache = cfg.queryCache &&
+                     cfg.strategy == SolveStrategy::Canonical &&
+                     cfg.coverage == Coverage::Pc;
+    // Solver modes reshape *how* the Canonical strategy reaches each
+    // model — fresh solver plus op-log replay (oneshot) or one live
+    // solver (incremental) — never *which* model, so every campaign
+    // artifact is byte-identical across modes (ctest-enforced).
+    // Other strategies always take the incremental path: RandomPhases
+    // draws phases from the task rng (a replay would consume extra
+    // draws) and Sampler has its own search loop.
+    t.oneshot = cfg.strategy == SolveStrategy::Canonical &&
+                cfg.solverMode == smt::SolverMode::Oneshot;
+    // Model-blocking variables: a pure function of the program's used
+    // registers (every register variable already exists in ctx after
+    // symbolic execution).
+    t.blockVars = blockingVars(t.ctx, t.program);
+    t.formulas.assign(pairs.size(), nullptr);
+    t.enums.resize(pairs.size());
+    t.dead.assign(pairs.size(), false);
+    if (t.oneshot)
+        t.oplogs.resize(pairs.size());
+
+    for (int test_i = 0; test_i < cfg.testsPerProgram; ++test_i) {
+        const std::uint64_t test_faults0 = faults::injectedCount();
+        // Advance to the next live pair.
+        std::size_t probe = 0;
+        while (probe < pairs.size() && t.dead[t.rr % pairs.size()]) {
+            ++t.rr;
+            ++probe;
+        }
+        if (probe == pairs.size())
+            break; // all relations exhausted
+        TestState test;
+        test.pairIdx = t.rr++ % pairs.size();
+        test.pair = &pairs[test.pairIdx];
+
+        if (!stageSolve(t, test)) {
+            t.reg.counter("pipeline.generation_failures").inc();
+            if (faults::injectedCount() == test_faults0) {
+                t.faultFailures = 0;
+                continue;
+            }
+            // The test failed because of injected faults, not on its
+            // own merits.  A program that keeps losing tests this way
+            // is quarantined: its remaining tests are abandoned and
+            // it is listed in the campaign report instead of stalling
+            // the run.
+            if (++t.faultFailures >= cfg.quarantineAfter) {
+                t.out.quarantined = true;
+                t.reg.counter("pipeline.quarantined").inc();
+                t.reg.counter("pipeline.degraded").inc();
+                break;
+            }
+            continue;
+        }
+        t.faultFailures = 0;
+        stageMeasure(t, test);
+        stageClassify(t, test);
+    }
+}
+
+/**
+ * Run the whole experiment campaign of one program as the stage list
+ * generate → screen → symexec → relations → training, then the
+ * per-test stages (runTests).  Pure function of (cfg, task): every
+ * stochastic component is seeded from deriveProgramSeed(cfg.seed,
+ * task.prog_i), and nothing outside the returned ProgramOutcome is
+ * written.
  */
 ProgramOutcome
 runOneProgram(const PipelineConfig &cfg, bool instrument,
               const ProgramTask &task)
 {
-    const int prog_i = task.prog_i;
     ProgramOutcome out;
     Stopwatch task_watch;
 
@@ -253,680 +964,35 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
     // through metrics::current(), and Pipeline::run() merges the
     // snapshots in program-index order, keeping the campaign metrics
     // independent of task scheduling.
-    metrics::Registry reg(cfg.deterministicMetricsTiming
-                              ? metrics::ClockMode::Deterministic
-                              : metrics::ClockMode::Wall);
+    metrics::Registry reg(clockModeFor(cfg));
     metrics::ScopedRegistry scoped_registry(reg);
     const double task_t0 = reg.now();
     reg.counter("pipeline.programs").inc();
-    out.name = "program-" + std::to_string(prog_i);
+    out.name = "program-" + std::to_string(task.prog_i);
 
     // Fault plan: install this task's injector (thread-local, like
     // the registry above).  Decisions are pure functions of
     // (cfg.seed, prog_i, site, attempt), so injected campaigns replay
     // byte-identically for any thread count.  With a disabled plan no
-    // injector exists and every maybeInject() below is a null test.
-    faults::Injector injector(cfg.faultPlan, cfg.seed, prog_i);
+    // injector exists and every maybeInject() is a null test.
+    faults::Injector injector(cfg.faultPlan, cfg.seed, task.prog_i);
     std::optional<faults::ScopedInjector> scoped_injector;
     if (cfg.faultPlan.enabled())
         scoped_injector.emplace(injector);
     // Injected task death: thrown before any work, caught by the
     // campaign guard (runOneProgramGuarded), which re-counts it.
     if (faults::maybeInject(faults::Site::TaskAbort))
-        throw faults::InjectedTaskFault(prog_i);
-    const int retry_max = cfg.retryMax < 0 ? 2 : cfg.retryMax;
+        throw faults::InjectedTaskFault(task.prog_i);
 
-    // Coverage accounting is opt-in per task: the Uniform schedule
-    // without a ledger never touches the delta (or the extra clock
-    // reads below), keeping untracked campaigns byte-identical to the
-    // pre-cover pipeline.
-    // Corpus workloads replace the generator draw with a pre-compiled
-    // SC kernel (see PipelineConfig::corpus).
-    const front::CompiledProgram *corpus_entry = nullptr;
-    if (task.corpusIndex >= 0 && cfg.corpus &&
-        task.corpusIndex < static_cast<int>(cfg.corpus->size()))
-        corpus_entry = &(*cfg.corpus)[static_cast<std::size_t>(
-            task.corpusIndex)];
-
-    cover::ProgramDelta &delta = out.coverDelta;
-    if (task.collectCover) {
-        delta.templ = corpus_entry ? "corpus:" + corpus_entry->name
-                                   : gen::templateName(task.templ);
-        delta.model = obs::modelName(cfg.model);
-        if (cfg.coverage == Coverage::PcAndLine)
-            delta.universe = cfg.modelParams.geom.numSets;
-    }
-
-    // Freeze the task's registry into the outcome; called on every
-    // exit path so even pair-less programs contribute a snapshot.
-    auto finish_task = [&] {
-        if (out.hasCex)
-            reg.counter("pipeline.programs_with_cex").inc();
-        // One now() call feeds both the gauge and the per-program
-        // latency histogram (p50/p99 in exports), keeping the
-        // deterministic-clock tick count unchanged.
-        const double task_elapsed = reg.now() - task_t0;
-        reg.gauge("pipeline.task_seconds").add(task_elapsed);
-        reg.histogram("pipeline.program_seconds").observe(task_elapsed);
-        out.metrics = reg.snapshot();
-        out.taskSeconds = task_watch.seconds();
-    };
-
-    const std::uint64_t prog_seed = deriveProgramSeed(cfg.seed, prog_i);
-    gen::GeneratorConfig gen_cfg;
-    gen_cfg.lineBytes = cfg.modelParams.geom.lineBytes;
-    gen::ProgramGenerator generator(task.templ, prog_seed, gen_cfg);
-    generator.setCounter(prog_i);
-    harness::Platform platform(cfg.platform, prog_seed ^ 0x90153ULL);
-    Rng rng(prog_seed ^ 0xc0ffeeULL);
-
-    ExprContext ctx;
-
-    // ---- Observation augmentation (Sections 4.2.2, 5.1) --------
-    bir::Program program, model_prog;
-    std::unique_ptr<sym::Annotator> annotator;
-    {
-        metrics::PhaseTimer phase(reg, "generate");
-        if (corpus_entry) {
-            program = corpus_entry->program;
-            program.setName(corpus_entry->name + "#" +
-                            std::to_string(prog_i));
-        } else {
-            program = generator.next();
-        }
-        out.name = program.name();
-        model_prog = program;
-        if (instrument) {
-            if (cfg.rewriteJumps)
-                model_prog =
-                    bir::rewriteJumpsToCondBranches(model_prog);
-            model_prog = bir::instrumentSpeculation(model_prog);
-        }
-
-        if (cfg.refinement) {
-            annotator = std::make_unique<obs::RefinementPair>(
-                obs::makeModel(cfg.model, cfg.modelParams),
-                obs::makeModel(*cfg.refinement, cfg.modelParams));
-        } else {
-            annotator = obs::makeModel(cfg.model, cfg.modelParams);
-        }
-    }
-
-    // ---- Triage pre-screen (src/triage/screen.hh) ---------------
-    // Runs before any rng, solver or platform use, and is a pure
-    // function of the instrumented program — a screened-out program
-    // leaves the task's rng streams untouched, so the surviving
-    // programs replay byte-identically with the screen on or off.
-    // The class mask survives for non-boring programs: the adaptive
-    // coverage draw below skips classes the program provably cannot
-    // touch.
-    std::vector<bool> screen_mask;
-    if (cfg.triageScreen > 0 && cfg.refinement) {
-        metrics::PhaseTimer phase(reg, "triage_screen");
-        triage::ScreenResult screen = triage::screenProgram(
-            model_prog, cfg.model, *cfg.refinement, cfg.modelParams);
-        if (screen.verdict == triage::ScreenVerdict::Boring) {
-            reg.counter("triage.screened").inc();
-            reg.counter("triage.screened." + screen.reason).inc();
-            finish_task();
-            return out;
-        }
-        screen_mask = std::move(screen.classMask);
-    }
-
-    // ---- Symbolic execution (cached per program) ----------------
-    std::vector<sym::PathResult> paths1, paths2;
-    {
-        metrics::PhaseTimer phase(reg, "symbolic_exec");
-        paths1 = sym::execute(ctx, model_prog, *annotator, {"_1"});
-        paths2 = sym::execute(ctx, model_prog, *annotator, {"_2"});
-    }
-
-    rel::RelationConfig rel_cfg;
-    rel_cfg.refine = cfg.refinement.has_value();
-    rel_cfg.region = cfg.region;
-    rel_cfg.geom = cfg.modelParams.geom;
-    if (corpus_entry) {
-        // The kernel's declared security contract: public inputs are
-        // pinned equal across s1/s2, secrets stay free to differ.
-        rel_cfg.lowRegs = corpus_entry->publicRegs;
-        rel_cfg.lowMemAddrs = corpus_entry->publicMemAddrs;
-    }
-    std::optional<rel::RelationSynthesizer> relation;
-    {
-        metrics::PhaseTimer phase(reg, "relation_synthesis");
-        relation.emplace(ctx, std::move(paths1), std::move(paths2),
-                         rel_cfg);
-    }
-
-    // Training paths (third symbolic execution, suffix "_t").
-    std::vector<sym::PathResult> training_paths;
-    if (cfg.train) {
-        metrics::PhaseTimer phase(reg, "symbolic_exec");
-        auto mpc = obs::makeModel(obs::ModelKind::Mpc);
-        training_paths = sym::execute(ctx, model_prog, *mpc, {"_t"});
-    }
-
-    const auto &pairs = relation->pairs();
-    if (pairs.empty()) {
-        finish_task();
-        return out;
-    }
-
-    // Query cache: the enumerated (Canonical/Pc) path threads every
-    // solve through it; other strategies keep their incremental
-    // solver access but still cache the one-shot fallback/training
-    // queries.  With qc == nullptr every wrapper below degrades to
-    // the exact pre-cache call sequence.
-    qcache::QueryCache *qc = cfg.queryCache;
-    const bool use_enum_cache =
-        qc && cfg.strategy == SolveStrategy::Canonical &&
-        cfg.coverage == Coverage::Pc;
-
-    // Solver-mode resolution (cfg.solverMode / SCAMV_SOLVER).  Modes
-    // reshape *how* the Canonical strategy reaches each model — fresh
-    // solver plus op-log replay (oneshot), one live solver
-    // (incremental), or incremental plus a sampler scout on genuine
-    // budget exhaustion (portfolio) — never *which* model, so every
-    // campaign artifact is byte-identical across modes
-    // (ctest-enforced).  Other strategies always take the incremental
-    // path: RandomPhases draws phases from the task rng (a replay
-    // would consume extra draws) and Sampler has its own search loop.
-    const smt::SolverMode solver_mode =
-        cfg.strategy == SolveStrategy::Canonical
-            ? cfg.solverMode.value_or(smt::SolverMode::Incremental)
-            : smt::SolverMode::Incremental;
-    const bool oneshot = solver_mode == smt::SolverMode::Oneshot;
-    const bool portfolio = solver_mode == smt::SolverMode::Portfolio;
-
-    // Model-blocking variables: a pure function of the program's used
-    // registers (every register variable already exists in ctx after
-    // symbolic execution), hoisted out of the per-test loop.
-    const std::vector<Expr> block_vars = blockingVars(ctx, program);
-
-    PairEnumerators per_pair;
-    per_pair.enums.resize(pairs.size());
-    per_pair.dead.assign(pairs.size(), false);
-    if (oneshot)
-        per_pair.oplogs.resize(pairs.size());
-
-    // Relation formulas, synthesized once per path pair: the formula
-    // is a pure function of the pair, but it is needed by solver
-    // construction, the sampler, and symmetrizeModel on every test
-    // iteration.
-    std::vector<Expr> formulas(pairs.size(), nullptr);
-    auto formula_for = [&](std::size_t idx) {
-        if (!formulas[idx]) {
-            metrics::PhaseTimer phase(reg, "relation_synthesis");
-            formulas[idx] = relation->formulaFor(pairs[idx]);
-        }
-        return formulas[idx];
-    };
-
-    // Training inputs, cached per s1-path index.
-    std::unordered_map<int, std::optional<harness::ProgramInput>>
-        training_cache;
-    auto training_for =
-        [&](const rel::PathPair &pair)
-        -> std::optional<harness::ProgramInput> {
-        if (!cfg.train)
-            return std::nullopt;
-        auto hit = training_cache.find(pair.idx1);
-        if (hit != training_cache.end())
-            return hit->second;
-        std::optional<harness::ProgramInput> input;
-        auto formula = rel::RelationSynthesizer::trainingFormula(
-            ctx, training_paths, relation->paths1()[pair.idx1],
-            rel_cfg);
-        if (formula) {
-            auto solved = qcache::solveOnce(ctx, *formula,
-                                            cfg.conflictBudget, qc);
-            if (solved.outcome == smt::Outcome::Sat)
-                input = harness::inputFromAssignment(*solved.model,
-                                                     "_t");
-        }
-        training_cache.emplace(pair.idx1, input);
-        return input;
-    };
-
-    std::size_t rr = 0; // round-robin cursor over path pairs
-    int fault_failures = 0; // consecutive injected-fault test failures
-    int plan_draw = 0; // monotone cursor into the adaptive class plan
-    int rescue_draws = 0; // portfolio scout rng derivations
-
-    // One Mline coverage draw: least-covered-first from the round
-    // plan when the adaptive scheduler supplied one, the classic
-    // random draw otherwise (same rng sequence as ever).
-    auto draw_line_coverage = [&](const rel::PathPair &pair)
-        -> std::optional<rel::LineCoverageDraw> {
-        std::optional<rel::LineCoverageDraw> cov;
-        if (task.plan && !task.plan->classOrder.empty()) {
-            int cls;
-            if (screen_mask.empty()) {
-                cls = cover::planClass(*task.plan, task.slot,
-                                       plan_draw++, task.stride);
-            } else {
-                // Screened class gating: classes outside the
-                // program's abstract reach don't consume draws.
-                std::int64_t skipped = 0;
-                cls = cover::planClassAllowed(*task.plan, task.slot,
-                                              plan_draw, task.stride,
-                                              screen_mask, &skipped);
-                if (skipped)
-                    reg.counter("triage.skipped_draws").add(skipped);
-            }
-            cov = relation->lineCoverageConstraintFor(pair, cls, cls);
-        } else {
-            cov = relation->lineCoverageConstraint(pair, rng);
-        }
-        if (cov && task.collectCover) {
-            delta.countDraw(cov->class1);
-            if (cov->class2 != cov->class1)
-                delta.countDraw(cov->class2);
-        }
-        return cov;
-    };
-
-    for (int test_i = 0; test_i < cfg.testsPerProgram; ++test_i) {
-        const std::uint64_t test_faults0 = faults::injectedCount();
-
-        // Advance to the next live pair.
-        std::size_t probe = 0;
-        while (probe < pairs.size() &&
-               per_pair.dead[rr % pairs.size()]) {
-            ++rr;
-            ++probe;
-        }
-        if (probe == pairs.size())
-            break; // all relations exhausted
-        const std::size_t pair_idx = rr % pairs.size();
-        ++rr;
-        const rel::PathPair &pair = pairs[pair_idx];
-
-        // Synthesized (and cached) outside the smt phase scope so
-        // nested relation_synthesis time is not charged twice.
-        const Expr pair_formula = formula_for(pair_idx);
-        std::optional<expr::Assignment> model;
-        int line_cls1 = -1, line_cls2 = -1;
-        const double smt_t0 = task.collectCover ? reg.now() : 0.0;
-        {
-        metrics::PhaseTimer phase(reg, "smt");
-
-        bool retire_pair = false;
-        for (int attempt = 0;; ++attempt) {
-            const std::uint64_t before = faults::injectedCount();
-            // Each retry doubles the per-query conflict budget — the
-            // time/attempt budget granted to a timed-out query.
-            const std::int64_t budget =
-                cfg.conflictBudget << std::min(attempt, 8);
-            retire_pair = false;
-
-            if (cfg.strategy == SolveStrategy::Sampler) {
-                Expr f = pair_formula;
-                if (cfg.coverage == Coverage::PcAndLine) {
-                    auto cov = draw_line_coverage(pair);
-                    if (cov) {
-                        f = ctx.land(f, cov->constraint);
-                        line_cls1 = cov->class1;
-                        line_cls2 = cov->class2;
-                    }
-                }
-                smt::SamplerConfig sampler_cfg;
-                sampler_cfg.regionBase = cfg.region.base;
-                sampler_cfg.regionLimit = cfg.region.limit();
-                smt::RepairSampler sampler(ctx, f, rng, sampler_cfg);
-                model = sampler.sample();
-                if (!model) {
-                    // Fall back to the complete solver.
-                    auto solved =
-                        qcache::solveOnce(ctx, f, budget, qc);
-                    if (solved.outcome == smt::Outcome::Sat)
-                        model = std::move(solved.model);
-                    else
-                        retire_pair = true;
-                }
-            } else {
-                auto &en = per_pair.enums[pair_idx];
-                if (!en) {
-                    // Blocking variables are fixed at construction on
-                    // the cached path (they parameterize the cache's
-                    // enumeration chain); the uncached path passes
-                    // them at blocking time, as it always did.
-                    en = std::make_unique<qcache::CachedEnumerator>(
-                        ctx, pair_formula,
-                        use_enum_cache ? block_vars
-                                       : std::vector<Expr>{},
-                        cfg.blockingBits,
-                        use_enum_cache ? qc : nullptr);
-                }
-                if (cfg.strategy == SolveStrategy::RandomPhases)
-                    en->solver().randomizePhases(rng);
-
-                // Oneshot mode: every test solves on a freshly built
-                // solver.  The uncached paths (which drive the raw
-                // solver below) rebuild it from this pair's op log;
-                // the cached path rebuilds lazily from the cache's
-                // own enumeration prefix on the next miss.
-                std::vector<SolverOp> *oplog =
-                    oneshot && !en->usesCache()
-                        ? &per_pair.oplogs[pair_idx]
-                        : nullptr;
-                if (oneshot && attempt == 0) {
-                    en->discardSolver();
-                    if (oplog && !oplog->empty())
-                        replaySolverOps(*en, *oplog, block_vars,
-                                        cfg.blockingBits);
-                }
-
-                smt::Outcome outcome = smt::Outcome::Unsat;
-                Expr last_cov = nullptr;
-                if (cfg.coverage == Coverage::PcAndLine) {
-                    // Randomly drawn set-index classes often
-                    // contradict the relation (e.g. distinct classes
-                    // pinned inside the attacker region); redraw a
-                    // few times before charging a generation failure.
-                    for (int redraw = 0;
-                         redraw < cfg.coverageRetries &&
-                         outcome != smt::Outcome::Sat;
-                         ++redraw) {
-                        auto cov = draw_line_coverage(pair);
-                        if (cov) {
-                            line_cls1 = cov->class1;
-                            line_cls2 = cov->class2;
-                            last_cov = cov->constraint;
-                        }
-                        const std::uint64_t solve_inj0 =
-                            faults::injectedCount();
-                        const std::uint64_t sat_inj0 =
-                            faults::injectedCountAt(
-                                faults::Site::SatTimeout);
-                        outcome =
-                            cov ? en->solver().solveWith(
-                                      cov->constraint, budget)
-                                : en->solver().solve(budget);
-                        // Record for replay what mutated the solver:
-                        // a clean call in full (a genuine exhaustion
-                        // leaves learned clauses behind); an injected
-                        // SmtUnknown not at all (it returns before
-                        // touching solver state); an injected
-                        // SatTimeout under a coverage constraint as a
-                        // blast-only Prepare (solveWith blasts the
-                        // temporary before the SAT core cuts the
-                        // search short).
-                        if (oplog &&
-                            faults::injectedCount() == solve_inj0) {
-                            oplog->push_back(
-                                {cov ? SolverOp::Kind::SolveWith
-                                     : SolverOp::Kind::Solve,
-                                 cov ? cov->constraint : nullptr,
-                                 budget});
-                        } else if (oplog && cov &&
-                                   faults::injectedCountAt(
-                                       faults::Site::SatTimeout) !=
-                                       sat_inj0) {
-                            oplog->push_back(
-                                {SolverOp::Kind::Prepare,
-                                 cov->constraint, 0});
-                        }
-                        if (!cov)
-                            break;
-                    }
-                } else if (en->usesCache()) {
-                    // Cached enumeration step: solve + model + block
-                    // in one cacheable unit.
-                    auto step = en->next(budget);
-                    outcome = step.outcome;
-                    if (outcome == smt::Outcome::Sat) {
-                        model = std::move(step.model);
-                        if (en->dead())
-                            per_pair.dead[pair_idx] = true;
-                    }
-                } else {
-                    const std::uint64_t solve_inj0 =
-                        faults::injectedCount();
-                    outcome = en->solver().solve(budget);
-                    if (oplog &&
-                        faults::injectedCount() == solve_inj0)
-                        oplog->push_back({SolverOp::Kind::Solve,
-                                          nullptr, budget});
-                }
-
-                if (outcome == smt::Outcome::Sat) {
-                    if (!en->usesCache()) {
-                        model = en->solver().model();
-                        if (!en->solver().blockCurrentModel(
-                                block_vars, cfg.blockingBits))
-                            per_pair.dead[pair_idx] = true;
-                        if (oplog)
-                            oplog->push_back(
-                                {SolverOp::Kind::Block, nullptr, 0});
-                    }
-                } else if (cfg.coverage != Coverage::PcAndLine ||
-                           outcome == smt::Outcome::Unknown) {
-                    // Without per-test coverage constraints an Unsat
-                    // relation stays Unsat: retire the pair.
-                    retire_pair = true;
-                }
-
-                // Portfolio mode: on a *genuine* budget exhaustion —
-                // never an injected Unknown, which carries a nonzero
-                // injection delta and belongs to the retry machinery —
-                // race a repair-sampler scout over the same formula.
-                // The CDCL result stays authoritative for Sat/Unsat
-                // and the scout draws from its own derived rng, so a
-                // rescue never shifts the task rng stream: this fixed
-                // arbitration order keeps portfolio byte-identical to
-                // incremental whenever no rescue fires.
-                if (portfolio && !model &&
-                    outcome == smt::Outcome::Unknown &&
-                    faults::injectedCount() == before) {
-                    reg.counter("portfolio.rescue_attempts").inc();
-                    Rng scout_rng(deriveProgramSeed(
-                        prog_seed ^ 0x5c007eULL, rescue_draws++));
-                    smt::SamplerConfig scout_cfg;
-                    scout_cfg.regionBase = cfg.region.base;
-                    scout_cfg.regionLimit = cfg.region.limit();
-                    const Expr scout_f =
-                        last_cov ? ctx.land(pair_formula, last_cov)
-                                 : pair_formula;
-                    smt::RepairSampler scout(ctx, scout_f, scout_rng,
-                                             scout_cfg);
-                    if (auto rescued = scout.sample()) {
-                        // The rescued model is not blocked in the
-                        // solver (the solver never saw it) and the
-                        // pair stays live.
-                        model = std::move(rescued);
-                        retire_pair = false;
-                        reg.counter("portfolio.rescues").inc();
-                    }
-                }
-            }
-
-            if (model)
-                break;
-            // Delta-gated retry: only an attempt polluted by an
-            // injected fault is re-run (with backoff and a doubled
-            // budget); genuine Unsat/exhaustion keeps its original
-            // fault-free behaviour and is never retried.
-            const bool polluted = faults::injectedCount() != before;
-            if (polluted)
-                retire_pair = false; // not attributable to the pair
-            if (!polluted || attempt >= retry_max)
-                break;
-            retryBackoff(reg, "smt", attempt);
-        }
-
-        if (!model && retire_pair)
-            per_pair.dead[pair_idx] = true;
-        if (model && cfg.strategy == SolveStrategy::Canonical)
-            symmetrizeModel(pair_formula, program, *model,
-                            rng, cfg.similarityBias);
-        } // phase "smt"
-        if (task.collectCover) {
-            // Per-atom cost: the whole solve (including redraws) is
-            // charged to the test's final s1 class.  Deterministic
-            // under the deterministic registry clock.
-            delta.chargeSolver(line_cls1, reg.now() - smt_t0);
-        }
-
-        if (!model) {
-            reg.counter("pipeline.generation_failures").inc();
-            if (faults::injectedCount() != test_faults0) {
-                // The test failed because of injected faults, not on
-                // its own merits.  A program that keeps losing tests
-                // this way is quarantined: its remaining tests are
-                // abandoned and it is listed in the campaign report
-                // instead of stalling the run.
-                if (++fault_failures >= cfg.quarantineAfter) {
-                    out.quarantined = true;
-                    reg.counter("pipeline.quarantined").inc();
-                    reg.counter("pipeline.degraded").inc();
-                    break;
-                }
-            } else {
-                fault_failures = 0;
-            }
-            continue;
-        }
-        fault_failures = 0;
-
-        harness::TestCase tc;
-        tc.s1 = harness::inputFromAssignment(*model, "_1");
-        tc.s2 = harness::inputFromAssignment(*model, "_2");
-        const auto training = training_for(pair);
-
-        harness::ExperimentResult result;
-        {
-            metrics::PhaseTimer phase(reg, "hw_run");
-            for (int attempt = 0;; ++attempt) {
-                const std::uint64_t before = faults::injectedCount();
-                result = platform.runExperiment(program, tc,
-                                                training);
-                // Delta-gated retry: re-measure only when this run
-                // was polluted by injected measurement faults, in
-                // the hope of a clean repetition set.
-                if (faults::injectedCount() == before ||
-                    attempt >= retry_max)
-                    break;
-                retryBackoff(reg, "hw_run", attempt);
-            }
-        }
-        reg.counter("pipeline.experiments").inc();
-        if (task.collectCover) {
-            ++delta.verdicts.experiments;
-            delta.countHit(line_cls1);
-            if (line_cls2 != line_cls1)
-                delta.countHit(line_cls2);
-            ++delta.pathPairs[relation->paths1()[pair.idx1].pathId() +
-                              "|" +
-                              relation->paths2()[pair.idx2].pathId()];
-        }
-        if (result.flakedReps > 0) {
-            // Accepted, but on flaky measurements: the verdict has
-            // already been degraded to at most Inconclusive by the
-            // platform (unless every clean repetition differed).
-            reg.counter("pipeline.degraded").inc();
-        }
-
-        if (cfg.database) {
-            ExperimentRecord record;
-            record.programName = program.name();
-            record.programText = program.toString();
-            record.pathId =
-                relation->paths1()[pair.idx1].pathId();
-            record.testCase = tc;
-            record.trained = training.has_value();
-            record.lineClass1 = line_cls1;
-            record.lineClass2 = line_cls2;
-            record.verdict = result.verdict;
-            record.differingReps = result.differingReps;
-            record.totalReps = result.totalReps;
-            out.records.push_back(std::move(record));
-        }
-
-        switch (result.verdict) {
-          case harness::Verdict::Counterexample: {
-            reg.counter("pipeline.counterexamples").inc();
-            out.hasCex = true;
-            if (out.firstCexOffsetSeconds < 0)
-                out.firstCexOffsetSeconds = task_watch.seconds();
-            if (task.collectCover)
-                ++delta.verdicts.counterexamples;
-            if (cfg.triageMinimize > 0 || cfg.findingsFile) {
-                triage::Finding f;
-                f.progIndex = prog_i;
-                f.program = program.name();
-                f.instrsBefore = static_cast<int>(program.size());
-                f.instrsAfter = f.instrsBefore;
-                f.stateBitsBefore = triage::stateBitCount(tc);
-                f.stateBitsAfter = f.stateBitsBefore;
-                bir::Program core_prog = program;
-                harness::TestCase core_tc = tc;
-                if (cfg.triageMinimize > 0) {
-                    // One fault decision per finding, taken *before*
-                    // shrinking (the minimizer itself runs under
-                    // ScopedSuppress): a flaked minimizer keeps the
-                    // unminimized witness — degraded, never lost.
-                    if (faults::maybeInject(
-                            faults::Site::TriageMinimizeFlake)) {
-                        f.degraded = true;
-                        reg.counter("triage.degraded").inc();
-                    } else {
-                        metrics::PhaseTimer mphase(reg,
-                                                   "triage_minimize");
-                        triage::MinimizeConfig mcfg;
-                        mcfg.platform = cfg.platform;
-                        mcfg.seed = prog_seed;
-                        mcfg.training = training;
-                        auto min = triage::minimizeCounterexample(
-                            program, tc, mcfg);
-                        if (min.evalsUsed <= 1) {
-                            // The evaluation platform could not
-                            // reproduce the leak (noise): keep the
-                            // original witness.
-                            f.degraded = true;
-                            reg.counter("triage.degraded").inc();
-                        } else {
-                            core_prog = std::move(min.program);
-                            core_tc = std::move(min.tc);
-                            f.minimized = true;
-                            f.instrsAfter =
-                                static_cast<int>(core_prog.size());
-                            f.stateBitsAfter =
-                                triage::stateBitCount(core_tc);
-                            reg.counter("triage.minimized").inc();
-                        }
-                    }
-                }
-                const bool spec_ref =
-                    cfg.refinement &&
-                    (*cfg.refinement == obs::ModelKind::Mspec ||
-                     *cfg.refinement == obs::ModelKind::Mspec1 ||
-                     *cfg.refinement == obs::ModelKind::MspecPage);
-                f.mechanism = triage::classifyMechanism(
-                    core_prog, core_tc, training, spec_ref,
-                    cfg.platform, prog_seed);
-                f.signature = f.mechanism + "/" +
-                              triage::shapeSignature(core_prog);
-                f.core = core_prog.toString();
-                f.tc = std::move(core_tc);
-                out.findings.push_back(std::move(f));
-            }
-            break;
-          }
-          case harness::Verdict::Inconclusive:
-            reg.counter("pipeline.inconclusive").inc();
-            if (task.collectCover)
-                ++delta.verdicts.inconclusive;
-            break;
-          case harness::Verdict::Indistinguishable:
-            if (task.collectCover)
-                ++delta.verdicts.indistinguishable;
-            break;
-        }
-    }
-
-    finish_task();
+    TaskState t(cfg, task, reg, out, task_t0, task_watch);
+    stageGenerate(t, instrument);
+    if (!stageScreen(t))
+        return out; // screened out, already finished
+    stageSymexec(t);
+    stageRelations(t);
+    stageTrainingPaths(t);
+    runTests(t);
+    finishTask(t);
     return out;
 }
 
@@ -959,9 +1025,7 @@ runOneProgramGuarded(const PipelineConfig &cfg, bool instrument,
     }
     out.failed = true;
     out.name = "program-" + std::to_string(prog_i);
-    metrics::Registry reg(cfg.deterministicMetricsTiming
-                              ? metrics::ClockMode::Deterministic
-                              : metrics::ClockMode::Wall);
+    metrics::Registry reg(clockModeFor(cfg));
     reg.counter("pipeline.programs").inc();
     reg.counter("pipeline.program_failures").inc();
     reg.counter("pipeline.degraded").inc();
@@ -1288,6 +1352,7 @@ mergeTailImpl(const PipelineConfig &cfg,
             const bool db_faults =
                 cfg.faultPlan.enabled() &&
                 cfg.faultPlan.covers(faults::Site::DbWrite);
+            const int retry_max = resolveRetryMax(cfg.retryMax);
             for (std::size_t prog_i = 0; prog_i < slots.size();
                  ++prog_i) {
                 faults::Injector db_injector(
@@ -1298,22 +1363,16 @@ mergeTailImpl(const PipelineConfig &cfg,
                 for (ExperimentRecord &record :
                      slots[prog_i].records) {
                     bool written = false;
-                    for (int attempt = 0;; ++attempt) {
-                        const std::uint64_t before =
-                            faults::injectedCount();
+                    retryPolluted(campaign_reg, "db_write", retry_max,
+                                  [&](int) {
                         // add() consumes the record, so attempts
                         // that can fail get their own copy.
                         written = db_faults
                                       ? cfg.database->add(record)
                                       : cfg.database->add(
                                             std::move(record));
-                        if (written ||
-                            faults::injectedCount() == before ||
-                            attempt >= cfg.retryMax)
-                            break;
-                        retryBackoff(campaign_reg, "db_write",
-                                     attempt);
-                    }
+                        return written;
+                    });
                     if (!written)
                         campaign_reg
                             .counter("pipeline.db_write_drops")
@@ -1404,6 +1463,15 @@ mergeTailImpl(const PipelineConfig &cfg,
 
 } // namespace
 
+int
+resolveRetryMax(int configured)
+{
+    if (configured >= 0)
+        return configured;
+    return static_cast<int>(
+        envLong("SCAMV_RETRY_MAX", 0, 64).value_or(2));
+}
+
 PipelineConfig
 resolveCampaignEnv(PipelineConfig cfg)
 {
@@ -1412,15 +1480,7 @@ resolveCampaignEnv(PipelineConfig cfg)
     // (SCAMV_FAULT_RATE / SCAMV_FAULT_PLAN / SCAMV_RETRY_MAX).
     if (!cfg.faultPlan.enabled())
         cfg.faultPlan = faults::FaultPlan::fromEnv();
-    if (cfg.retryMax < 0)
-        cfg.retryMax = static_cast<int>(
-            envLong("SCAMV_RETRY_MAX", 0, 64).value_or(2));
-
-    // Solver mode: an explicitly configured mode wins, otherwise
-    // SCAMV_SOLVER (defaulting to incremental).  See PipelineConfig
-    // for the mode semantics and the byte-identity contract.
-    if (!cfg.solverMode)
-        cfg.solverMode = smt::solverModeFromEnv();
+    cfg.retryMax = resolveRetryMax(cfg.retryMax);
 
     // Query cache: an explicitly configured cache wins, otherwise the
     // environment-configured shared cache (SCAMV_QCACHE_MB /
@@ -1512,9 +1572,7 @@ runCampaignSlice(const PipelineConfig &cfg, int first, int count)
     // re-folds the deltas authoritatively and records the planning
     // deviation as `shard.schedule_local` (see DESIGN.md §12).
     cover::CoverageLedger local_ledger;
-    metrics::Registry scratch(cfg.deterministicMetricsTiming
-                                  ? metrics::ClockMode::Deterministic
-                                  : metrics::ClockMode::Wall);
+    metrics::Registry scratch(clockModeFor(cfg));
     slice.scheduleLocal = adaptive;
     slice.earlyStopped = runScheduleRange(
         cfg, adaptive ? &local_ledger : nullptr, scratch,
@@ -1533,10 +1591,7 @@ mergeCampaignOutcomes(const PipelineConfig &cfg,
     const bool track_cover = coverageTracked(cfg);
     if (track_cover && !ledger)
         ledger = &local_ledger;
-    metrics::Registry campaign_reg(
-        cfg.deterministicMetricsTiming
-            ? metrics::ClockMode::Deterministic
-            : metrics::ClockMode::Wall);
+    metrics::Registry campaign_reg(clockModeFor(cfg));
     return mergeTailImpl(cfg, slots, ledger, track_cover, campaign_reg,
                          /*fold_cover=*/true, opts.earlyStopped,
                          opts.honorEnvExports);
@@ -1564,9 +1619,7 @@ Pipeline::run()
     // Campaign-level registry: round planning, ledger merging and the
     // final stats/db merge all count into it; it is folded into the
     // campaign snapshot after the per-program snapshots.
-    metrics::Registry campaign_reg(cfg.deterministicMetricsTiming
-                                       ? metrics::ClockMode::Deterministic
-                                       : metrics::ClockMode::Wall);
+    metrics::Registry campaign_reg(clockModeFor(cfg));
 
     const int early_stopped =
         runScheduleRange(cfg, ledger, campaign_reg, slots.data(), 0,

@@ -35,9 +35,9 @@
  *
  * The campaign is instrumented end to end against the metrics
  * registry (support/metrics.hh): each task owns a private registry
- * receiving phase timings (generate / symbolic_exec /
- * relation_synthesis / smt / hw_run) plus the solver and hardware
- * counters reported from the layers below; task snapshots are merged
+ * receiving one phase timing per campaign stage (DESIGN.md, "Campaign
+ * stages") plus the solver and hardware counters reported from the
+ * layers below; task snapshots are merged
  * in program-index order — the RunStats counters are rebuilt from
  * that merged snapshot, which is also exported via `RunStats::metrics`
  * and the SCAMV_METRICS / SCAMV_METRICS_TABLE environment variables
@@ -171,16 +171,14 @@ struct PipelineConfig {
     SolveStrategy strategy = SolveStrategy::Canonical;
     /**
      * How the per-pair SMT enumeration drives the solver (see
-     * smt/modes.hh): `Incremental` reuses one live solver per pair,
-     * `Oneshot` rebuilds a fresh solver per test by op-log replay
-     * (the benchmark baseline), `Portfolio` adds a repair-sampler
-     * rescue of genuine Unknown outcomes with fixed arbitration
-     * order.  Applies to the Canonical strategy only — RandomPhases
-     * consumes rng for phase selection and Sampler has its own path —
-     * other strategies silently use Incremental.  Unset resolves from
-     * the SCAMV_SOLVER environment variable (default incremental).
-     * All modes produce byte-identical campaign artifacts (ctest
-     * enforces this; see ARCHITECTURE.md, determinism invariants).
+     * smt/modes.hh): `Incremental` (also when unset) reuses one live
+     * solver per pair, `Oneshot` rebuilds a fresh solver per test by
+     * op-log replay (the benchmark baseline).  Applies to the
+     * Canonical strategy only — RandomPhases consumes rng for phase
+     * selection and Sampler has its own path — other strategies
+     * silently use Incremental.  Both modes produce byte-identical
+     * campaign artifacts (ctest enforces this; see ARCHITECTURE.md,
+     * determinism invariants).
      */
     std::optional<smt::SolverMode> solverMode;
     std::int64_t conflictBudget = 200000;
@@ -238,7 +236,8 @@ struct PipelineConfig {
     /**
      * Maximum extra attempts per stage when the previous attempt was
      * polluted by an injected fault.  -1 = resolve from the validated
-     * SCAMV_RETRY_MAX environment variable, defaulting to 2.  Retries
+     * SCAMV_RETRY_MAX environment variable, defaulting to 2
+     * (resolveRetryMax).  Retries
      * are delta-gated on the injected-fault count, so genuine
      * (non-injected) failures are never retried and a fault-free
      * campaign behaves exactly as before.
@@ -443,12 +442,19 @@ struct alignas(64) ProgramOutcome {
 };
 
 /**
+ * The stage retry budget: `configured` when it is 0 or more,
+ * otherwise SCAMV_RETRY_MAX (0–64), defaulting to 2.  Campaigns and
+ * the service's accept path both resolve it here.
+ */
+int resolveRetryMax(int configured);
+
+/**
  * Resolve every environment-dependent knob of a campaign config the
  * way Pipeline::run() does — fault plan (SCAMV_FAULT_RATE /
- * SCAMV_FAULT_PLAN), retry budget (SCAMV_RETRY_MAX), solver mode
- * (SCAMV_SOLVER), schedule (SCAMV_SCHEDULE) and query cache
- * (SCAMV_QCACHE_MB / SCAMV_QCACHE_FILE, bypassed when the resolved
- * fault plan is enabled).  Idempotent.  Shard workers and the merge
+ * SCAMV_FAULT_PLAN), retry budget (SCAMV_RETRY_MAX), schedule
+ * (SCAMV_SCHEDULE) and query cache (SCAMV_QCACHE_MB /
+ * SCAMV_QCACHE_FILE, bypassed when the resolved fault plan is
+ * enabled).  Idempotent.  Shard workers and the merge
  * coordinator resolve once and pass the result to the slice / merge
  * entry points below, so every process answers environment questions
  * identically.

@@ -1,6 +1,5 @@
 #include "harness/platform.hh"
 
-#include "support/env.hh"
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -23,11 +22,7 @@ inputFromAssignment(const expr::Assignment &a, const std::string &suffix)
 }
 
 Platform::Platform(const PlatformConfig &config, std::uint64_t noise_seed)
-    : cfg(config), noiseRng(noise_seed),
-      batched(config.simBatch >= 0
-                  ? config.simBatch != 0
-                  : envLong("SCAMV_SIM_BATCH", 0, 1)
-                            .value_or(1) != 0)
+    : cfg(config), noiseRng(noise_seed)
 {}
 
 void
@@ -151,7 +146,7 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
     // by one core's footprint; the arena keeps its blocks, so
     // steady-state experiments allocate nothing.
     std::optional<hw::Core> local;
-    if (batched) {
+    if (cfg.simBatch) {
         batchCore.reset();
         simArena.reset();
         batchCore =
@@ -161,7 +156,7 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
     for (int rep = 0; rep < cfg.repeats; ++rep) {
         const std::uint64_t faults_before = faults::injectedCount();
         hw::Core *core_p;
-        if (batched) {
+        if (cfg.simBatch) {
             batchCore->resetMicroarch();
             core_p = batchCore.get();
         } else {

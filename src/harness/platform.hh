@@ -107,10 +107,11 @@ struct PlatformConfig {
      * repetitions of an experiment (per-repetition state reset in
      * place) instead of constructing a fresh core per repetition.
      * Behaviourally identical either way — every microarchitectural
-     * structure's reset() restores its constructor state.
-     * -1 = resolve from SCAMV_SIM_BATCH (default on), 0 = off, 1 = on.
+     * structure's reset() restores its constructor state, and the
+     * unbatched path is kept as the oracle the batched one is tested
+     * against and as the bench_hotpath baseline.
      */
-    int simBatch = -1;
+    bool simBatch = true;
 };
 
 /** Details of one experiment execution. */
@@ -183,7 +184,6 @@ class Platform
     std::unique_ptr<hw::Core> batchCore;
     /** Reused run-result buffer (trace capacity persists). */
     hw::RunResult runScratch;
-    bool batched;
 };
 
 } // namespace scamv::harness

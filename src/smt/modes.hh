@@ -4,7 +4,7 @@
  *
  * The pipeline's canonical enumeration issues a sequence of solver
  * calls per test pair (coverage-pinned `solveWith` probes, plain
- * `solve`, model-blocking clauses).  Three modes run that sequence:
+ * `solve`, model-blocking clauses).  Two modes run that sequence:
  *
  *  - `Incremental` (default): one live SmtSolver per pair; every call
  *    reuses the solver's clause database — consecutive canonical
@@ -13,19 +13,13 @@
  *    repeated `solveWith` is a pure `solveAssuming`).
  *  - `Oneshot`: the pre-incremental behaviour — a fresh solver per
  *    test, brought up to date by replaying the pair's recorded op
- *    log.  Kept as the benchmark baseline and as a cross-check that
- *    incremental state reuse does not change any result.
- *  - `Portfolio`: incremental solving, plus a repair-sampler scout
- *    that attempts to rescue *genuine* Unknown outcomes (budget
- *    exhaustion, never injected faults).  Arbitration is by fixed
- *    order — the CDCL verdict is authoritative for Sat/Unsat and the
- *    scout only runs after it — so the winner never depends on
- *    wall-clock.
+ *    log.  Kept as the bench_hotpath baseline and as a cross-check
+ *    that incremental state reuse does not change any result.
  *
- * All three modes produce byte-identical campaign artifacts (metrics
- * JSON, coverage JSON, ExperimentDb CSV) on workloads where the scout
- * is never consulted; ctest enforces this (see ARCHITECTURE.md,
- * determinism invariants).
+ * Both modes produce byte-identical campaign artifacts (metrics JSON,
+ * coverage JSON, ExperimentDb CSV); ctest enforces this (see
+ * ARCHITECTURE.md, determinism invariants).  The mode is chosen
+ * through `core::PipelineConfig::solverMode`.
  */
 
 #ifndef SCAMV_SMT_MODES_HH
@@ -35,20 +29,16 @@ namespace scamv::smt {
 
 /** How the pipeline drives the SMT solver per test pair. */
 enum class SolverMode {
-    Oneshot,     ///< fresh solver per test, op-log replay
-    Incremental, ///< live solver reused across the pair's tests
-    Portfolio    ///< incremental + repair-sampler rescue of Unknowns
+    Oneshot,    ///< fresh solver per test, op-log replay
+    Incremental ///< live solver reused across the pair's tests
 };
 
-/** @return the mode's SCAMV_SOLVER spelling. */
-const char *solverModeName(SolverMode mode);
-
-/**
- * Resolve the mode from `SCAMV_SOLVER`
- * (`oneshot|incremental|portfolio`).  Unset → Incremental; an
- * unrecognized value warns and falls back to Incremental.
- */
-SolverMode solverModeFromEnv();
+/** @return the mode's name ("oneshot" or "incremental"). */
+inline const char *
+solverModeName(SolverMode mode)
+{
+    return mode == SolverMode::Oneshot ? "oneshot" : "incremental";
+}
 
 } // namespace scamv::smt
 

@@ -50,20 +50,6 @@ namespace fs = std::filesystem;
 
 namespace scamv::svc {
 
-namespace {
-
-/** Accept-time retry budget, mirroring resolveCampaignEnv's. */
-int
-acceptRetryMax(const SubmissionSpec &spec)
-{
-    if (spec.retryMax >= 0)
-        return spec.retryMax;
-    return static_cast<int>(
-        envLong("SCAMV_RETRY_MAX", 0, 64).value_or(2));
-}
-
-} // namespace
-
 ServiceConfig
 ServiceConfig::fromEnv()
 {
@@ -436,7 +422,7 @@ Service::submit(const SubmissionSpec &spec)
     if (plan.enabled() &&
         plan.covers(faults::Site::SvcAcceptDrop)) {
         faults::Injector inj(plan, spec.seed, /*prog_i=*/-1);
-        const int retry_max = acceptRetryMax(spec);
+        const int retry_max = core::resolveRetryMax(spec.retryMax);
         bool dropped = true;
         for (int attempt = 0; attempt <= retry_max; ++attempt) {
             dropped = inj.fire(faults::Site::SvcAcceptDrop);

@@ -2,7 +2,7 @@
  * @file
  * Hot-path engine tests: the support/arena bump allocator, histogram
  * quantiles (p50/p99 export), and the solver-mode byte-identity
- * contract — oneshot, incremental and portfolio campaigns must
+ * contract — oneshot and incremental campaigns must
  * produce identical verdicts, experiment logs and metrics for any
  * thread count, cold or warm query cache, and under fault injection;
  * likewise batched vs unbatched simulation.
@@ -177,17 +177,8 @@ TEST(HistogramQuantile, JsonExportCarriesPercentiles)
 // ---------------------------------------------------------------------
 // Solver modes
 
-TEST(SolverMode, EnvParsing)
+TEST(SolverMode, Name)
 {
-    unsetenv("SCAMV_SOLVER");
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Incremental);
-    setenv("SCAMV_SOLVER", "oneshot", 1);
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Oneshot);
-    setenv("SCAMV_SOLVER", "portfolio", 1);
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Portfolio);
-    setenv("SCAMV_SOLVER", "bogus", 1);
-    EXPECT_EQ(smt::solverModeFromEnv(), smt::SolverMode::Incremental);
-    unsetenv("SCAMV_SOLVER");
     EXPECT_STREQ(smt::solverModeName(smt::SolverMode::Oneshot),
                  "oneshot");
 }
@@ -261,8 +252,7 @@ runArtifacts(core::PipelineConfig cfg, smt::SolverMode mode,
 }
 
 constexpr smt::SolverMode kModes[] = {smt::SolverMode::Oneshot,
-                                      smt::SolverMode::Incremental,
-                                      smt::SolverMode::Portfolio};
+                                      smt::SolverMode::Incremental};
 
 TEST(SolverModeEquivalence, LineCoverageAcrossModesAndThreads)
 {
@@ -328,10 +318,9 @@ TEST(SolverModeEquivalence, PcCoverageColdAndWarmCache)
 TEST(SolverModeEquivalence, FaultInjectionAllSites)
 {
     // SCAMV_FAULT_PLAN=all equivalent: every site armed.  Injected
-    // Unknowns leave solver state untouched, so they are neither
-    // recorded in oneshot op logs nor rescued by the portfolio scout
-    // — the three modes must replay the fault campaign byte-
-    // identically at any thread count.
+    // Unknowns leave solver state untouched, so they are not recorded
+    // in oneshot op logs — both modes must replay the fault campaign
+    // byte-identically at any thread count.
     faults::FaultPlan plan;
     plan.rate = 0.3;
     plan.mask = faults::FaultPlan::maskAll();
@@ -379,14 +368,14 @@ TEST(SolverModeEquivalence, LineCoverageFaultCampaign)
 
 TEST(BatchedSimulation, OnOffByteIdentical)
 {
-    auto run = [](int sim_batch, const char *tag) {
+    auto run = [](bool sim_batch, const char *tag) {
         core::PipelineConfig cfg = lineCampaign();
         cfg.platform.simBatch = sim_batch;
         return runArtifacts(cfg, smt::SolverMode::Incremental, 1,
                             tag);
     };
-    const Artifacts off = run(0, "batch_off");
-    const Artifacts on = run(1, "batch_on");
+    const Artifacts off = run(false, "batch_off");
+    const Artifacts on = run(true, "batch_on");
     EXPECT_FALSE(off.csv.empty());
     EXPECT_EQ(off.metricsJson, on.metricsJson);
     EXPECT_EQ(off.csv, on.csv);
@@ -397,7 +386,7 @@ TEST(BatchedSimulation, BatchedFaultCampaignMatchesUnbatched)
     faults::FaultPlan plan;
     plan.rate = 0.3;
     plan.mask = faults::FaultPlan::maskAll();
-    auto run = [&](int sim_batch, const char *tag) {
+    auto run = [&](bool sim_batch, const char *tag) {
         core::PipelineConfig cfg = pcCampaign();
         cfg.faultPlan = plan;
         cfg.retryMax = 2;
@@ -405,8 +394,8 @@ TEST(BatchedSimulation, BatchedFaultCampaignMatchesUnbatched)
         return runArtifacts(cfg, smt::SolverMode::Incremental, 1,
                             tag);
     };
-    const Artifacts off = run(0, "fbatch_off");
-    const Artifacts on = run(1, "fbatch_on");
+    const Artifacts off = run(false, "fbatch_off");
+    const Artifacts on = run(true, "fbatch_on");
     EXPECT_EQ(off.metricsJson, on.metricsJson);
     EXPECT_EQ(off.csv, on.csv);
 }
