@@ -127,15 +127,6 @@ BitBlaster::andReduce(const std::vector<Lit> &ls)
     return acc;
 }
 
-Lit
-BitBlaster::orReduce(const std::vector<Lit> &ls)
-{
-    Lit acc = litConst(false);
-    for (Lit l : ls)
-        acc = gateOr(acc, l);
-    return acc;
-}
-
 BitBlaster::Bits
 BitBlaster::adder(const Bits &a, const Bits &b, Lit cin, Lit *carry_out)
 {

@@ -64,7 +64,6 @@ class BitBlaster
     sat::Lit gateMux(sat::Lit s, sat::Lit t, sat::Lit f);
     sat::Lit gateMaj(sat::Lit a, sat::Lit b, sat::Lit c);
     sat::Lit andReduce(const std::vector<sat::Lit> &ls);
-    sat::Lit orReduce(const std::vector<sat::Lit> &ls);
 
     using Bits = std::vector<sat::Lit>;
     /** a + b + cin; if carry_out non-null, receives the carry. */

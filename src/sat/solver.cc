@@ -47,6 +47,7 @@ Solver::newVar()
     reasons.push_back(kRefUndef);
     activity.push_back(0.0);
     heapIndex.push_back(-1);
+    seen.push_back(0);
     watches.emplace_back();
     watches.emplace_back();
     heapInsert(v);
@@ -64,49 +65,69 @@ Solver::value(Lit l) const
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(const Lit *lits, std::size_t n)
 {
     if (!okay)
         return false;
     SCAMV_ASSERT(decisionLevel() == 0, "addClause above level 0");
 
-    // Sort/dedup; drop satisfied clauses and false literals.
-    std::sort(lits.begin(), lits.end(),
+    // Sort/dedup in place at the arena's tail; drop satisfied clauses
+    // and false literals.
+    const std::size_t start = arena.size();
+    arena.insert(arena.end(), lits, lits + n);
+    std::sort(arena.begin() + start, arena.end(),
               [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
+    std::size_t end = start;
     Lit prev = kLitUndef;
-    for (Lit l : lits) {
+    for (std::size_t i = start; i < start + n; ++i) {
+        const Lit l = arena[i];
         SCAMV_ASSERT(var(l) >= 0 && var(l) < numVars(),
                      "literal for unallocated variable");
-        if (value(l) == LBool::True || l == ~prev)
+        if (value(l) == LBool::True || l == ~prev) {
+            arena.resize(start);
             return true; // clause satisfied or tautological
+        }
         if (value(l) != LBool::False && l != prev)
-            out.push_back(l);
+            arena[end++] = l;
         prev = l;
     }
+    arena.resize(end);
 
-    if (out.empty()) {
+    if (end == start) {
         okay = false;
         return false;
     }
-    if (out.size() == 1) {
-        uncheckedEnqueue(out[0], kRefUndef);
+    if (end - start == 1) {
+        const Lit unit = arena[start];
+        arena.resize(start);
+        uncheckedEnqueue(unit, kRefUndef);
         okay = (propagate() == kRefUndef);
         return okay;
     }
 
-    clauses.push_back({std::move(out), false, 0.0});
-    attachClause(static_cast<ClauseRef>(clauses.size()) - 1);
+    commitClause(start, false);
     return true;
+}
+
+Solver::ClauseRef
+Solver::commitClause(std::size_t start, bool learnt)
+{
+    const ClauseRef cref = static_cast<ClauseRef>(clauses.size());
+    clauses.push_back({static_cast<std::uint32_t>(start),
+                       static_cast<std::uint32_t>(arena.size() - start),
+                       learnt, 0.0});
+    attachClause(cref);
+    return cref;
 }
 
 void
 Solver::attachClause(ClauseRef cref)
 {
     const Clause &c = clauses[cref];
-    SCAMV_ASSERT(c.lits.size() >= 2, "attach of short clause");
-    watches[(~c.lits[0]).x].push_back({cref, c.lits[1]});
-    watches[(~c.lits[1]).x].push_back({cref, c.lits[0]});
+    SCAMV_ASSERT(c.size >= 2, "attach of short clause");
+    const Lit *ls = litsOf(c);
+    watches[(~ls[0]).x].push_back({cref, ls[1]});
+    watches[(~ls[1]).x].push_back({cref, ls[0]});
 }
 
 void
@@ -133,14 +154,15 @@ Solver::propagate()
                 ws[j++] = ws[i++];
                 continue;
             }
-            Clause &c = clauses[w.cref];
-            // Normalize so that the false watched literal is lits[1].
+            const Clause &c = clauses[w.cref];
+            Lit *ls = litsOf(c);
+            // Normalize so that the false watched literal is ls[1].
             const Lit false_lit = ~p;
-            if (c.lits[0] == false_lit)
-                std::swap(c.lits[0], c.lits[1]);
+            if (ls[0] == false_lit)
+                std::swap(ls[0], ls[1]);
             ++i;
 
-            const Lit first = c.lits[0];
+            const Lit first = ls[0];
             if (first != w.blocker && value(first) == LBool::True) {
                 ws[j++] = {w.cref, first};
                 continue;
@@ -148,10 +170,10 @@ Solver::propagate()
 
             // Look for a new literal to watch.
             bool found = false;
-            for (std::size_t k = 2; k < c.lits.size(); ++k) {
-                if (value(c.lits[k]) != LBool::False) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    watches[(~c.lits[1]).x].push_back({w.cref, first});
+            for (std::uint32_t k = 2; k < c.size; ++k) {
+                if (value(ls[k]) != LBool::False) {
+                    std::swap(ls[1], ls[k]);
+                    watches[(~ls[1]).x].push_back({w.cref, first});
                     found = true;
                     break;
                 }
@@ -214,7 +236,6 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
     out_learnt.clear();
     out_learnt.push_back(kLitUndef); // reserve slot for asserting literal
 
-    std::vector<bool> seen(numVars(), false);
     int path_count = 0;
     Lit p = kLitUndef;
     std::size_t index = trail.size();
@@ -224,9 +245,10 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
         Clause &c = clauses[confl];
         if (c.learnt)
             claBumpActivity(c);
-        const std::size_t start = (p == kLitUndef) ? 0 : 1;
-        for (std::size_t k = start; k < c.lits.size(); ++k) {
-            const Lit q = c.lits[k];
+        const Lit *ls = litsOf(c);
+        const std::uint32_t start = (p == kLitUndef) ? 0 : 1;
+        for (std::uint32_t k = start; k < c.size; ++k) {
+            const Lit q = ls[k];
             if (!seen[var(q)] && levels[var(q)] > 0) {
                 varBumpActivity(var(q));
                 seen[var(q)] = true;
@@ -245,6 +267,10 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
         --path_count;
     } while (path_count > 0);
     out_learnt[0] = ~p;
+    // Every current-level mark was cleared on the trail walk; the rest
+    // are exactly the learnt clause's other literals.
+    for (std::size_t k = 1; k < out_learnt.size(); ++k)
+        seen[var(out_learnt[k])] = 0;
 
     // Compute backtrack level (second-highest level in the clause).
     if (out_learnt.size() == 1) {
@@ -312,17 +338,25 @@ Solver::reduceDB()
                      acts.end());
     const double median = acts[acts.size() / 2];
 
-    std::vector<Clause> kept;
+    // Compact headers and literals in place, keeping clause order.
     std::vector<ClauseRef> remap(clauses.size(), kRefUndef);
+    std::size_t kept = 0;
+    std::uint32_t top = 0;
     for (std::size_t i = 0; i < clauses.size(); ++i) {
-        const bool drop = clauses[i].learnt && !is_reason[i] &&
-                          clauses[i].activity < median;
-        if (!drop) {
-            remap[i] = static_cast<ClauseRef>(kept.size());
-            kept.push_back(std::move(clauses[i]));
-        }
+        Clause c = clauses[i];
+        if (c.learnt && !is_reason[i] && c.activity < median)
+            continue;
+        if (c.start != top)
+            std::copy(arena.begin() + c.start,
+                      arena.begin() + c.start + c.size,
+                      arena.begin() + top);
+        c.start = top;
+        top += c.size;
+        remap[i] = static_cast<ClauseRef>(kept);
+        clauses[kept++] = c;
     }
-    clauses = std::move(kept);
+    clauses.resize(kept);
+    arena.resize(top);
     nLearnt = 0;
     for (const auto &c : clauses)
         nLearnt += c.learnt;
@@ -355,20 +389,19 @@ Solver::search(std::int64_t conflict_budget,
                 okay = false;
                 return Result::Unsat;
             }
-            std::vector<Lit> learnt;
             int bt_level = 0;
-            analyze(confl, learnt, bt_level);
+            analyze(confl, learntBuf, bt_level);
             cancelUntil(bt_level);
-            if (learnt.size() == 1) {
-                uncheckedEnqueue(learnt[0], kRefUndef);
+            if (learntBuf.size() == 1) {
+                uncheckedEnqueue(learntBuf[0], kRefUndef);
             } else {
-                clauses.push_back({std::move(learnt), true, 0.0});
+                const std::size_t start = arena.size();
+                arena.insert(arena.end(), learntBuf.begin(),
+                             learntBuf.end());
+                const ClauseRef cref = commitClause(start, true);
                 ++nLearnt;
-                const ClauseRef cref =
-                    static_cast<ClauseRef>(clauses.size()) - 1;
-                attachClause(cref);
                 claBumpActivity(clauses[cref]);
-                uncheckedEnqueue(clauses[cref].lits[0], cref);
+                uncheckedEnqueue(learntBuf[0], cref);
             }
             varDecayActivity();
             claInc /= kClauseDecay;
@@ -482,13 +515,6 @@ Solver::heapInsert(Var v)
     heapIndex[v] = static_cast<int>(heap.size());
     heap.push_back(v);
     percolateUp(heapIndex[v]);
-}
-
-void
-Solver::heapUpdate(Var v)
-{
-    if (heapIndex[v] != -1)
-        percolateUp(heapIndex[v]);
 }
 
 Var

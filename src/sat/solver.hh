@@ -8,6 +8,11 @@
  * branching with an indexed max-heap, phase saving with configurable
  * default polarity, and Luby restarts.
  *
+ * Clauses live in one flat literal arena: a clause is a header
+ * {start, size, learnt, activity} indexing a contiguous run of
+ * `arena`, so adding, learning and propagating allocate nothing per
+ * clause.  reduceDB compacts the arena in place, keeping clause order.
+ *
  * The default polarity is `false`, so unconstrained variables settle
  * to zero: extracted bitvector models are "canonical" (small, often
  * equal across the two states) exactly like the unguided Z3 baseline
@@ -18,7 +23,9 @@
 #ifndef SCAMV_SAT_SOLVER_HH
 #define SCAMV_SAT_SOLVER_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "support/rng.hh"
@@ -67,13 +74,22 @@ class Solver
     int numVars() const { return static_cast<int>(assigns.size()); }
 
     /**
-     * Add a clause (empty clause makes the instance unsat).
+     * Add the clause lits[0..n) (empty clause makes the instance
+     * unsat).  The literals are copied; the caller keeps ownership.
      * @return false iff the instance became trivially unsat.
      */
-    bool addClause(std::vector<Lit> lits);
+    bool addClause(const Lit *lits, std::size_t n);
+    bool addClause(const std::vector<Lit> &lits)
+    {
+        return addClause(lits.data(), lits.size());
+    }
+    bool addClause(std::initializer_list<Lit> lits)
+    {
+        return addClause(lits.begin(), lits.size());
+    }
 
-    /** Convenience single/binary/ternary clause adders. */
-    bool addUnit(Lit a) { return addClause({a}); }
+    /** Convenience single/binary/ternary clause adders (no heap). */
+    bool addUnit(Lit a) { return addClause(&a, 1); }
     bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
     bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
 
@@ -105,8 +121,10 @@ class Solver
     std::uint64_t propagations() const { return nPropagations; }
 
   private:
+    /** Clause header: literals are arena[start, start + size). */
     struct Clause {
-        std::vector<Lit> lits;
+        std::uint32_t start = 0;
+        std::uint32_t size = 0;
         bool learnt = false;
         double activity = 0.0;
     };
@@ -120,6 +138,7 @@ class Solver
 
     // ---- Core state --------------------------------------------------
     std::vector<Clause> clauses;
+    std::vector<Lit> arena;                    // all clause literals
     std::vector<std::vector<Watcher>> watches; // indexed by Lit::x
     std::vector<LBool> assigns;
     std::vector<bool> savedPhase;
@@ -138,6 +157,10 @@ class Solver
     double claInc = 1.0;
     std::uint64_t nLearnt = 0;
 
+    // ---- Conflict-analysis scratch, reused across conflicts ----------
+    std::vector<char> seen;     // var -> marked in the current analyze
+    std::vector<Lit> learntBuf; // clause being learnt
+
     // ---- Statistics ----------------------------------------------------
     std::uint64_t nConflicts = 0;
     std::uint64_t nDecisions = 0;
@@ -145,6 +168,9 @@ class Solver
 
     // ---- Helpers --------------------------------------------------------
     LBool value(Lit l) const;
+    Lit *litsOf(const Clause &c) { return arena.data() + c.start; }
+    /** Make the arena's tail, from `start` on, a clause; attach it. */
+    ClauseRef commitClause(std::size_t start, bool learnt);
     int decisionLevel() const { return static_cast<int>(trailLim.size()); }
     void uncheckedEnqueue(Lit l, ClauseRef from);
     ClauseRef propagate();
@@ -160,7 +186,6 @@ class Solver
 
     // heap ops
     void heapInsert(Var v);
-    void heapUpdate(Var v);
     Var heapPop();
     bool heapEmpty() const { return heap.empty(); }
     void percolateUp(int i);

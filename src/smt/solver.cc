@@ -53,10 +53,8 @@ SmtSolver::lowerReads(Expr e)
             };
             result = chain(ks[0]);
         } else {
-            std::unordered_map<Expr, Expr> noop;
-            // Rebuild with lowered children via substitute on a
-            // single-level basis: construct directly.
-            // (substitute() would re-walk; build by kind instead.)
+            // Rebuild with lowered children, by kind (substitute()
+            // would re-walk the subtree).
             switch (e->kind) {
               case Kind::Add: result = ctx.add(ks[0], ks[1]); break;
               case Kind::Sub: result = ctx.sub(ks[0], ks[1]); break;
@@ -129,9 +127,15 @@ SmtSolver::lowerAndAckermannize(Expr e)
                 Expr fresh = ctx.bvVar(mem->name + "!rd" +
                                        std::to_string(freshCounter++));
                 // Functional consistency with all previous reads of
-                // the same memory.
+                // the same memory that may alias this one.  Distinct
+                // constant addresses never do, so their constraint is
+                // `true` and is skipped before any node is interned.
                 for (const ReadInfo &prev : reads) {
                     if (prev.memVar != mem)
+                        continue;
+                    if (prev.addr->kind == Kind::BvConst &&
+                        addr->kind == Kind::BvConst &&
+                        prev.addr->value != addr->value)
                         continue;
                     blaster.assertTrue(ctx.implies(
                         ctx.eq(prev.addr, addr),
@@ -279,16 +283,6 @@ void
 SmtSolver::randomizePhases(Rng &rng)
 {
     sat.randomizePhases(rng);
-}
-
-SolverStats
-SmtSolver::stats() const
-{
-    SolverStats s;
-    s.satCalls = 0;
-    s.conflicts = sat.conflicts();
-    s.decisions = sat.decisions();
-    return s;
 }
 
 Outcome

@@ -9,10 +9,14 @@
  *
  * Memory handling: read-over-write chains are lowered to ite-chains
  * over reads of base memory variables, then every distinct
- * read(mem, addr) is Ackermannized into a fresh bitvector variable
- * with pairwise functional-consistency constraints.  Model extraction
- * maps each read back to a concrete (address, value) pair, yielding
- * the initial memory contents for the experiment platform.
+ * read(mem, addr) is Ackermannized into a fresh bitvector variable.
+ * Functional-consistency constraints (equal addresses imply equal
+ * values) are added only for pairs of reads whose addresses may
+ * alias: two distinct constant addresses never do, so a relation
+ * that pins N constant-address words costs O(N) nodes, not O(N^2).
+ * Model extraction maps each read back to a concrete (address,
+ * value) pair, yielding the initial memory contents for the
+ * experiment platform.
  *
  * Model diversity: `blockCurrentModel` adds a clause forcing at least
  * one observable input bit to change, mimicking the enumeration of
@@ -40,13 +44,6 @@ namespace scamv::smt {
 
 /** Solve outcome. */
 enum class Outcome { Sat, Unsat, Unknown };
-
-/** Aggregated solver statistics (exposed for benches). */
-struct SolverStats {
-    std::uint64_t satCalls = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t decisions = 0;
-};
 
 /**
  * One-shot incremental solver instance for a fixed base constraint.
@@ -127,9 +124,6 @@ class SmtSolver
 
     /** Use uniformly random decision polarities from now on. */
     void randomizePhases(Rng &rng);
-
-    /** Statistics of the underlying CDCL solver. */
-    SolverStats stats() const;
 
   private:
     expr::Expr lowerAndAckermannize(expr::Expr e);

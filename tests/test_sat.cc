@@ -2,11 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "sat/solver.hh"
 #include "support/rng.hh"
 
 namespace scamv::sat {
 namespace {
+
+using Cnf = std::vector<std::vector<Lit>>;
+
+/** @return whether the bit assignment `bits` satisfies literal l. */
+bool
+holds(std::uint32_t bits, Lit l)
+{
+    return ((bits >> var(l)) & 1u) != static_cast<std::uint32_t>(sign(l));
+}
+
+/** Exhaustive check: some assignment of n vars satisfies cnf + units. */
+bool
+bruteForceSat(int n, const Cnf &cnf, const std::vector<Lit> &units)
+{
+    for (std::uint32_t bits = 0; bits < (1u << n); ++bits) {
+        auto sat_lit = [&](Lit l) { return holds(bits, l); };
+        auto sat_clause = [&](const std::vector<Lit> &c) {
+            return std::any_of(c.begin(), c.end(), sat_lit);
+        };
+        if (std::all_of(units.begin(), units.end(), sat_lit) &&
+            std::all_of(cnf.begin(), cnf.end(), sat_clause))
+            return true;
+    }
+    return false;
+}
+
+/** @return whether the solver's model satisfies every clause and unit. */
+bool
+modelSatisfies(const Solver &s, const Cnf &cnf,
+               const std::vector<Lit> &units = {})
+{
+    auto sat_lit = [&](Lit l) { return s.modelValue(var(l)) != sign(l); };
+    for (const auto &c : cnf)
+        if (!std::any_of(c.begin(), c.end(), sat_lit))
+            return false;
+    return std::all_of(units.begin(), units.end(), sat_lit);
+}
 
 TEST(Sat, EmptyFormulaIsSat)
 {
@@ -254,6 +294,126 @@ TEST(Sat, StatisticsAdvance)
     s.addBinary(mkLit(a), ~mkLit(b));
     ASSERT_EQ(s.solve(), Result::Sat);
     EXPECT_GT(s.decisions() + s.propagations(), 0u);
+}
+
+TEST(Sat, RandomCnfMatchesBruteForceIncrementally)
+{
+    // Seeded random CNF (widths 1..4, duplicate and complementary
+    // literals allowed) grown between solves, each solve also run
+    // under random assumptions; every verdict is checked against
+    // exhaustive enumeration and every model against every clause.
+    Rng rng(2024);
+    int sat_verdicts = 0, unsat_verdicts = 0;
+    for (int round = 0; round < 40; ++round) {
+        const int n = 4 + static_cast<int>(rng.below(9)); // 4..12 vars
+        Solver s;
+        for (int i = 0; i < n; ++i)
+            s.newVar();
+        Cnf cnf;
+        for (int step = 0; step < 5; ++step) {
+            const int add = step == 0 ? 2 * n : n / 2 + 1;
+            for (int c = 0; c < add; ++c) {
+                std::vector<Lit> clause;
+                const int width = 1 + static_cast<int>(rng.below(4));
+                for (int k = 0; k < width; ++k)
+                    clause.push_back(mkLit(static_cast<Var>(rng.below(n)),
+                                           rng.chance(0.5)));
+                cnf.push_back(clause);
+                s.addClause(clause);
+            }
+            const bool expect = bruteForceSat(n, cnf, {});
+            const Result r = s.solve();
+            ASSERT_EQ(r, expect ? Result::Sat : Result::Unsat)
+                << "round " << round << " step " << step;
+            if (r == Result::Sat) {
+                EXPECT_TRUE(modelSatisfies(s, cnf));
+            }
+            (r == Result::Sat ? sat_verdicts : unsat_verdicts)++;
+
+            std::vector<Lit> assume;
+            for (int k = static_cast<int>(rng.below(3)); k >= 0; --k)
+                assume.push_back(mkLit(static_cast<Var>(rng.below(n)),
+                                       rng.chance(0.5)));
+            const bool expect_a = bruteForceSat(n, cnf, assume);
+            const Result ra = s.solveAssuming(assume);
+            ASSERT_EQ(ra, expect_a ? Result::Sat : Result::Unsat)
+                << "round " << round << " step " << step << " (assuming)";
+            if (ra == Result::Sat) {
+                EXPECT_TRUE(modelSatisfies(s, cnf, assume));
+            }
+        }
+    }
+    // The generator must exercise both verdicts.
+    EXPECT_GT(sat_verdicts, 20);
+    EXPECT_GT(unsat_verdicts, 20);
+}
+
+TEST(Sat, LearntClauseReductionKeepsSearchSound)
+{
+    // PHP(8,7) with every at-least-one clause guarded by a selector
+    // `sel`, plus a planted (satisfiable) random 3-SAT part.  With
+    // sel decided false first, refuting the pigeonhole core takes
+    // well over the 4096-learnt limit, so reduceDB compacts the
+    // clause arena mid-search; the search must still end in a model
+    // of every original clause.
+    Solver s;
+    Cnf cnf;
+    auto add = [&](std::vector<Lit> c) {
+        cnf.push_back(c);
+        s.addClause(c);
+    };
+    const Var sel = s.newVar();
+    const int P = 8, H = 7;
+    std::vector<std::vector<Var>> v(P, std::vector<Var>(H));
+    for (auto &row : v)
+        for (Var &x : row)
+            x = s.newVar();
+    for (int p = 0; p < P; ++p) {
+        std::vector<Lit> c{mkLit(sel)};
+        for (int h = 0; h < H; ++h)
+            c.push_back(mkLit(v[p][h]));
+        add(c);
+    }
+    for (int h = 0; h < H; ++h)
+        for (int p1 = 0; p1 < P; ++p1)
+            for (int p2 = p1 + 1; p2 < P; ++p2)
+                add({~mkLit(v[p1][h]), ~mkLit(v[p2][h])});
+
+    Rng rng(7);
+    const int n = 60;
+    std::vector<Var> xs;
+    std::vector<bool> hidden;
+    for (int i = 0; i < n; ++i) {
+        xs.push_back(s.newVar());
+        hidden.push_back(rng.chance(0.5));
+    }
+    for (int added = 0; added < 4 * n;) {
+        std::vector<Lit> c;
+        bool planted_ok = false;
+        for (int k = 0; k < 3; ++k) {
+            const int i = static_cast<int>(rng.below(n));
+            const bool neg = rng.chance(0.5);
+            c.push_back(mkLit(xs[i], neg));
+            planted_ok |= hidden[i] != neg;
+        }
+        if (planted_ok) {
+            add(c);
+            ++added;
+        }
+    }
+
+    ASSERT_EQ(s.solve(), Result::Sat);
+    EXPECT_GT(s.conflicts(), 4096u); // reduceDB ran at least once
+    EXPECT_TRUE(s.modelValue(sel));
+    EXPECT_TRUE(modelSatisfies(s, cnf));
+
+    // The compacted database keeps answering incremental queries.
+    EXPECT_EQ(s.solveAssuming({~mkLit(sel)}), Result::Unsat);
+    std::vector<Lit> assume;
+    for (int i = 0; i < 8; ++i)
+        assume.push_back(mkLit(xs[i], !hidden[i]));
+    ASSERT_EQ(s.solveAssuming(assume), Result::Sat);
+    EXPECT_TRUE(modelSatisfies(s, cnf, assume));
 }
 
 } // namespace

@@ -76,6 +76,67 @@ TEST(Smt, DistinctAddressesMayDiffer)
     EXPECT_TRUE(expr::evalBool(f, model));
 }
 
+/**
+ * The corpus contract's shape: words 0..n-1 at kBase pinned equal
+ * across mem_1 and mem_2, plus mem_1's words 0 and 1 forced apart.
+ */
+constexpr std::uint64_t kBase = 0x80000;
+
+Expr
+pinnedWords(ExprContext &ctx, int n)
+{
+    Expr m1 = ctx.memVar("mem_1"), m2 = ctx.memVar("mem_2");
+    std::vector<Expr> conjuncts;
+    for (int i = 0; i < n; ++i) {
+        Expr w = ctx.bv(kBase + 8 * i);
+        conjuncts.push_back(ctx.eq(ctx.read(m1, w), ctx.read(m2, w)));
+    }
+    conjuncts.push_back(ctx.neq(ctx.read(m1, ctx.bv(kBase)),
+                                ctx.read(m1, ctx.bv(kBase + 8))));
+    return ctx.conj(conjuncts);
+}
+
+TEST(Smt, ConstantAddressReadsAckermannizeLinearly)
+{
+    // Distinct constant addresses never alias, so the functional-
+    // consistency constraints must cost O(N) nodes, not one
+    // eq(fresh_i, fresh_j) per pair of reads (~N^2/2 per memory).
+    constexpr int kN = 512;
+    ExprContext ctx;
+    const Expr f = pinnedWords(ctx, kN);
+    const std::size_t before = ctx.size();
+    SmtSolver s(ctx, f);
+    EXPECT_LT(ctx.size() - before, 16u * kN);
+
+    // Two distinct constants stay independent.
+    ASSERT_EQ(s.solve(), Outcome::Sat);
+    auto model = s.model();
+    EXPECT_TRUE(expr::evalBool(f, model));
+    EXPECT_NE(model.mems["mem_1"].load(kBase),
+              model.mems["mem_1"].load(kBase + 8));
+}
+
+TEST(Smt, SymbolicReadStaysConsistentWithConstantReads)
+{
+    // A symbolic address forced onto word 7 still reads word 7's
+    // value: pairs with a symbolic side keep their constraint.
+    ExprContext ctx;
+    Expr m1 = ctx.memVar("mem_1");
+    Expr a = ctx.bvVar("a");
+    Expr w7 = ctx.bv(kBase + 8 * 7);
+    const Expr f = ctx.conj({pinnedWords(ctx, 16), ctx.eq(a, w7),
+                             ctx.eq(ctx.read(m1, a), ctx.bv(0xAB))});
+    SmtSolver s(ctx, f);
+    ASSERT_EQ(s.solve(), Outcome::Sat);
+    auto model = s.model();
+    EXPECT_TRUE(expr::evalBool(f, model));
+    EXPECT_EQ(model.mems["mem_1"].load(kBase + 8 * 7), 0xABu);
+    EXPECT_EQ(model.mems["mem_2"].load(kBase + 8 * 7), 0xABu);
+
+    s.require(ctx.neq(ctx.read(m1, a), ctx.read(m1, w7)));
+    EXPECT_EQ(s.solve(), Outcome::Unsat);
+}
+
 TEST(Smt, ReadOverStoreChainLowered)
 {
     // mem' = store(m, a, 7); read(mem', b) == 9 with a == b is unsat.
