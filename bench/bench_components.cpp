@@ -5,9 +5,6 @@
  * synthesis, SMT solving (canonical and blocked re-solves) and the
  * repair sampler.  These correspond to the per-phase costs behind the
  * "Avg. Gen. time" / "Avg. Exe. time" rows of Table 1.
- *
- * After the microbenchmarks, main() runs the query-cache on/off
- * comparison (bench/qcache_report.hh) and emits BENCH_qcache.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,8 +20,6 @@
 #include "smt/solver.hh"
 #include "support/thread_pool.hh"
 #include "sym/symexec.hh"
-
-#include "qcache_report.hh"
 
 using namespace scamv;
 
@@ -225,13 +220,4 @@ BENCHMARK(BM_CampaignThreads)
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return benchsupport::writeQcacheReport() ? 0 : 1;
-}
+BENCHMARK_MAIN();

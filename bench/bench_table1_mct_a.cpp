@@ -17,7 +17,7 @@
 
 #include "core/pipeline.hh"
 #include "core/report.hh"
-#include "parallel_report.hh"
+#include "rig.hh"
 
 using namespace scamv;
 using core::PipelineConfig;
@@ -53,13 +53,14 @@ main()
         {"Mct", "Template A", "No", "Mpc"},
         {"Mct", "Template A", "Mspec", "Mpc"},
     };
-    benchsupport::ParallelReport parallel;
+    bench::Report parallel("parallel_table1_mct_a");
+    parallel.workload("scale", scale);
     std::vector<core::RunStats> stats;
-    stats.push_back(parallel.compare("table1_mct_a/unrefined",
-                                     mctConfig(false, scale)));
-    stats.push_back(parallel.compare("table1_mct_a/Mspec",
-                                     mctConfig(true, scale)));
-    parallel.write();
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mct_a/unrefined", mctConfig(false, scale)));
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mct_a/Mspec", mctConfig(true, scale)));
+    const bool reported = parallel.finish();
 
     std::printf("%s\n",
                 core::renderCampaignTable(metas, stats).render().c_str());
@@ -71,5 +72,5 @@ main()
                 "counterexamples; with\nMspec refinement the majority "
                 "of programs expose SiSCloak leakage and the\nfirst "
                 "counterexample appears orders of magnitude sooner.\n");
-    return 0;
+    return reported ? 0 : 1;
 }

@@ -15,7 +15,7 @@
 
 #include "core/pipeline.hh"
 #include "core/report.hh"
-#include "parallel_report.hh"
+#include "rig.hh"
 
 using namespace scamv;
 using core::PipelineConfig;
@@ -51,13 +51,14 @@ main()
         {"Mct", "Template B", "No", "Mpc"},
         {"Mct", "Template B", "Mspec", "Mpc"},
     };
-    benchsupport::ParallelReport parallel;
+    bench::Report parallel("parallel_table1_mct_b");
+    parallel.workload("scale", scale);
     std::vector<core::RunStats> stats;
-    stats.push_back(parallel.compare("table1_mct_b/unrefined",
-                                     mctBConfig(false, scale)));
-    stats.push_back(parallel.compare("table1_mct_b/Mspec",
-                                     mctBConfig(true, scale)));
-    parallel.write();
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mct_b/unrefined", mctBConfig(false, scale)));
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mct_b/Mspec", mctBConfig(true, scale)));
+    const bool reported = parallel.finish();
 
     std::printf("%s\n",
                 core::renderCampaignTable(metas, stats).render().c_str());
@@ -70,5 +71,5 @@ main()
                 "programs have at least one counterexample\nand a "
                 "sizeable fraction of experiments are "
                 "counterexamples.\n");
-    return 0;
+    return reported ? 0 : 1;
 }

@@ -17,7 +17,7 @@
 
 #include "core/pipeline.hh"
 #include "core/report.hh"
-#include "parallel_report.hh"
+#include "rig.hh"
 
 using namespace scamv;
 using core::PipelineConfig;
@@ -59,17 +59,22 @@ main()
         {"Mpart PA", "Stride", "No", "Mpc"},
         {"Mpart PA", "Stride", "Mpart'", "Mpc & Mline"},
     };
-    benchsupport::ParallelReport parallel;
+    bench::Report parallel("parallel_table1_mpart");
+    parallel.workload("scale", scale);
     std::vector<core::RunStats> stats;
-    stats.push_back(parallel.compare("table1_mpart/unrefined",
-                                     mpartConfig(false, 61, scale)));
-    stats.push_back(parallel.compare("table1_mpart/refined",
-                                     mpartConfig(true, 61, scale)));
-    stats.push_back(parallel.compare("table1_mpart/pa_unrefined",
-                                     mpartConfig(false, 64, scale)));
-    stats.push_back(parallel.compare("table1_mpart/pa_refined",
-                                     mpartConfig(true, 64, scale)));
-    parallel.write();
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mpart/unrefined",
+        mpartConfig(false, 61, scale)));
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mpart/refined",
+        mpartConfig(true, 61, scale)));
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mpart/pa_unrefined",
+        mpartConfig(false, 64, scale)));
+    stats.push_back(bench::compareParallel(
+        parallel, "table1_mpart/pa_refined",
+        mpartConfig(true, 64, scale)));
+    const bool reported = parallel.finish();
 
     std::printf("%s\n",
                 core::renderCampaignTable(metas, stats).render().c_str());
@@ -82,5 +87,5 @@ main()
                 "unaligned partition; the page-aligned partition\n"
                 "yields zero counterexamples in both modes (prefetcher "
                 "stops at the page).\n");
-    return 0;
+    return reported ? 0 : 1;
 }

@@ -1,116 +1,57 @@
 #!/usr/bin/env python3
 """Validate the JSON artifacts emitted by the bench smoke run.
 
-Three shapes are recognized (auto-detected per file):
+Three schemas are recognized (by the top-level ``schema`` key):
 
- - ``BENCH_parallel.json`` from bench/parallel_report.hh: campaign
-   speedup entries, each of which must be marked deterministic;
- - ``scamv-qcache-v1`` from bench/qcache_report.hh: query-cache
-   on/off comparison; the repeated-query component must show at
-   least a 1.5x speedup and the warm campaign must be deterministic;
+ - ``scamv-bench-v1`` from bench/rig.hh: the report envelope every
+   gated comparison writes (``BENCH_<bench>.json``).  Checked
+   generically: ``legs`` is a non-empty object of legs, each mapping
+   names to finite numbers >= 0; ``gates`` is a non-empty list of
+   ``{name, value, op, bound}`` checks (op one of ``>=``, ``<=``,
+   ``==``) or ``{any_of: [check, ...]}`` disjunctions.  Every gate is
+   re-evaluated here from its value, op and bound -- the writer's
+   verdict is never trusted -- and ``pass`` must equal the recomputed
+   verdict and be true.  Any nested object that carries a known
+   ``schema`` (the coverage ledger in BENCH_coverage.json) is
+   validated by that schema too;
  - ``scamv-metrics-v1`` from src/support/metrics (SCAMV_METRICS):
    counters, gauges and histograms, with internally consistent
    histogram bucket layouts;
- - ``scamv-coverage-v1`` from src/cover (SCAMV_COVERAGE_FILE or
-   bench/coverage_report.hh): per-template coverage-ledger atoms;
-   when the bench's ``comparison`` section is present, the adaptive
-   scheduler must beat uniform by its declared ``min_ratio``;
- - ``scamv-hotpath-v1`` from bench/hotpath_report.hh: the hot path
-   (incremental solver, batched simulation) against the oneshot,
-   unbatched baseline; every mode must carry p50 <= p99 per-program
-   latencies, the end-to-end speedup must meet its declared
-   ``min_speedup`` and the modes must agree byte-for-byte
-   (``deterministic``);
- - ``scamv-shard-v1`` from bench/shard_report.hh: sharded campaign
-   comparison (N concurrent workers + coordinator merge vs the
-   1-process reference); at least 2 shards, the end-to-end speedup
-   must meet its declared host-adapted ``min_speedup``, and the
-   merged artifacts must be byte-identical to the single-process
-   run (``deterministic``);
- - ``scamv-triage-v1`` from bench/triage_report.hh: abstract-cache
-   pre-screen comparison; the screen must pay for itself (wall-clock
-   ``min_speedup`` or ``min_smt_avoided``) and must preserve
-   campaign outcomes (``deterministic``);
- - ``scamv-svc-v1`` from bench/svc_report.hh: N standalone campaigns
-   vs the same N through the campaign service's shared qcache; the
-   sharing must pay for itself (aggregate ``min_speedup`` or
-   ``min_solves_avoided``) and every service campaign's artifacts
-   must be byte-identical to its standalone run (``deterministic``);
- - ``scamv-front-v1`` from bench/front_report.hh: SC frontend smoke;
-   corpus compilation must clear its declared throughput floor,
-   independent corpus loads must be byte-identical
-   (``deterministic``) and every kernel must round-trip through the
-   bir assembler (``round_trip``).
+ - ``scamv-coverage-v1`` from src/cover (SCAMV_COVERAGE_FILE):
+   per-template coverage-ledger atoms.
 
-Exit status is non-zero if any file is missing, unparseable or
-malformed, which is what makes the CI bench-smoke job a real gate.
+Every file is checked; the exit status is non-zero if any file is
+missing, unparseable or malformed, or if any gate fails, which is
+what makes the CI bench-smoke job a real gate.
 
 Usage: check_bench_json.py FILE [FILE...]
 """
 
 import json
+import math
 import sys
+
+OPS = {
+    ">=": lambda value, bound: value >= bound,
+    "<=": lambda value, bound: value <= bound,
+    "==": lambda value, bound: value == bound,
+}
+
+
+class Invalid(Exception):
+    """A file that is missing, malformed or fails a gate."""
 
 
 def fail(path, msg):
-    raise SystemExit(f"{path}: {msg}")
+    raise Invalid(f"{path}: {msg}")
 
 
 def is_num(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def check_parallel(path, doc):
-    campaigns = doc.get("campaigns")
-    if not isinstance(campaigns, dict) or not campaigns:
-        fail(path, "no campaigns recorded")
-    for name, entry in campaigns.items():
-        if not isinstance(entry, dict):
-            fail(path, f"campaign {name!r} is not an object")
-        for key in ("threads", "serial_s", "parallel_s", "speedup"):
-            if not is_num(entry.get(key)):
-                fail(path, f"campaign {name!r}: missing numeric {key!r}")
-        if entry["threads"] < 1:
-            fail(path, f"campaign {name!r}: threads < 1")
-        if entry["serial_s"] < 0 or entry["parallel_s"] < 0:
-            fail(path, f"campaign {name!r}: negative wall-clock")
-        if entry.get("deterministic") is not True:
-            fail(path, f"campaign {name!r}: serial/parallel runs "
-                       "disagree (deterministic != true)")
-    print(f"{path}: OK ({len(campaigns)} campaigns, all deterministic)")
-
-
-def check_qcache(path, doc):
-    components = doc.get("components")
-    if not isinstance(components, dict) or not components:
-        fail(path, "no components recorded")
-    for name, entry in components.items():
-        if not isinstance(entry, dict):
-            fail(path, f"component {name!r} is not an object")
-        for key, value in entry.items():
-            if key == "deterministic":
-                continue
-            if not is_num(value) or value < 0:
-                fail(path, f"component {name!r}: {key!r} is not a "
-                           "non-negative number")
-    rq = components.get("repeated_query")
-    if not isinstance(rq, dict):
-        fail(path, "missing repeated_query component")
-    for key in ("queries", "cache_off_s", "cache_on_s", "speedup",
-                "hits", "misses"):
-        if not is_num(rq.get(key)):
-            fail(path, f"repeated_query: missing numeric {key!r}")
-    if rq["speedup"] < 1.5:
-        fail(path, f"repeated_query: speedup {rq['speedup']} < 1.5 "
-                   "(cache is not paying for itself)")
-    if rq["hits"] < 1:
-        fail(path, "repeated_query: no cache hits recorded")
-    wc = components.get("warm_campaign")
-    if isinstance(wc, dict) and wc.get("deterministic") is not True:
-        fail(path, "warm_campaign: cold/warm runs disagree "
-                   "(deterministic != true)")
-    print(f"{path}: OK (repeated_query speedup "
-          f"{rq['speedup']:.2f}x, {len(components)} components)")
+def is_finite(x):
+    return is_num(x) and math.isfinite(x)
 
 
 def check_metrics(path, doc):
@@ -145,8 +86,8 @@ def check_metrics(path, doc):
                        f"{sum(counts)}, count says {h['count']}")
     if not counters:
         fail(path, "empty counters (campaign recorded nothing?)")
-    print(f"{path}: OK ({len(counters)} counters, {len(gauges)} gauges, "
-          f"{len(histograms)} histograms)")
+    return (f"{len(counters)} counters, {len(gauges)} gauges, "
+            f"{len(histograms)} histograms")
 
 
 def check_coverage(path, doc):
@@ -186,180 +127,97 @@ def check_coverage(path, doc):
         for key in ("path_pairs", "models"):
             if not isinstance(cell.get(key), dict):
                 fail(path, f"template {name!r}: missing {key!r} object")
-    comparison = doc.get("comparison")
-    if comparison is None:
-        print(f"{path}: OK ({len(templates)} templates)")
-        return
-    if not isinstance(comparison, dict):
-        fail(path, "comparison is not an object")
-    for mode in ("uniform", "adaptive"):
-        entry = comparison.get(mode)
-        if not isinstance(entry, dict):
-            fail(path, f"comparison: missing {mode!r} object")
-        for key in ("programs", "classes_covered",
-                    "classes_per_program"):
-            if not is_num(entry.get(key)):
-                fail(path, f"comparison {mode!r}: missing numeric "
-                           f"{key!r}")
-    ratio = comparison.get("ratio")
-    min_ratio = comparison.get("min_ratio")
-    if not is_num(ratio) or not is_num(min_ratio):
-        fail(path, "comparison: missing numeric ratio/min_ratio")
-    if ratio < min_ratio:
-        fail(path, f"comparison: adaptive/uniform classes-per-program "
-                   f"ratio {ratio} < {min_ratio} (adaptive scheduling "
-                   "is not paying for itself)")
-    print(f"{path}: OK (adaptive {ratio:.2f}x uniform, "
-          f"{len(templates)} templates)")
+    return f"{len(templates)} templates"
 
 
-def check_hotpath(path, doc):
-    modes = doc.get("modes")
-    if not isinstance(modes, dict) or not modes:
-        fail(path, "no modes recorded")
-    for name, entry in modes.items():
-        if not isinstance(entry, dict):
-            fail(path, f"mode {name!r} is not an object")
-        if not isinstance(entry.get("solver"), str):
-            fail(path, f"mode {name!r}: missing solver name")
-        for key in ("sim_batch", "wall_s", "p50_program_s",
-                    "p99_program_s", "experiments", "counterexamples"):
-            if not is_num(entry.get(key)) or entry[key] < 0:
-                fail(path, f"mode {name!r}: {key!r} is not a "
+def eval_check(path, check):
+    """Recompute one {name, value, op, bound} check."""
+    if not isinstance(check, dict) or not isinstance(check.get("name"),
+                                                     str):
+        fail(path, f"gate {check!r} has no name")
+    name = check["name"]
+    if check.get("op") not in OPS:
+        fail(path, f"gate {name!r}: op {check.get('op')!r} is not one "
+                   f"of {', '.join(OPS)}")
+    for key in ("value", "bound"):
+        if not is_finite(check.get(key)):
+            fail(path, f"gate {name!r}: {key} is not a finite number")
+    return OPS[check["op"]](check["value"], check["bound"])
+
+
+def describe(check):
+    return (f"{check['name']} {check['value']} {check['op']} "
+            f"{check['bound']}")
+
+
+def check_envelope(path, doc):
+    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
+        fail(path, "missing bench name")
+    if not isinstance(doc.get("workload"), dict):
+        fail(path, "workload is not an object")
+    legs = doc.get("legs")
+    if not isinstance(legs, dict) or not legs:
+        fail(path, "no legs recorded")
+    for leg, numbers in legs.items():
+        if not isinstance(numbers, dict) or not numbers:
+            fail(path, f"leg {leg!r} is not a non-empty object")
+        for key, v in numbers.items():
+            if not is_finite(v) or v < 0:
+                fail(path, f"leg {leg!r}: {key!r} is not a finite "
                            "non-negative number")
-        if entry["p50_program_s"] > entry["p99_program_s"]:
-            fail(path, f"mode {name!r}: p50 {entry['p50_program_s']} "
-                       f"exceeds p99 {entry['p99_program_s']}")
-    speedup = doc.get("speedup")
-    min_speedup = doc.get("min_speedup")
-    if not is_num(speedup) or not is_num(min_speedup):
-        fail(path, "missing numeric speedup/min_speedup")
-    if speedup < min_speedup:
-        fail(path, f"speedup {speedup} < {min_speedup} "
-                   "(hot-path engine is not paying for itself)")
-    if doc.get("deterministic") is not True:
-        fail(path, "solver modes disagree (deterministic != true)")
-    print(f"{path}: OK (hotpath speedup {speedup:.2f}x, "
-          f"{len(modes)} modes, deterministic)")
+    gates = doc.get("gates")
+    if not isinstance(gates, list) or not gates:
+        fail(path, "no gates recorded")
+    failed = []
+    for gate in gates:
+        if isinstance(gate, dict) and "any_of" in gate:
+            members = gate["any_of"]
+            if not isinstance(members, list) or not members:
+                fail(path, "any_of gate without members")
+            if not any([eval_check(path, m) for m in members]):
+                failed.append(" and ".join(describe(m)
+                                           for m in members))
+        elif not eval_check(path, gate):
+            failed.append(describe(gate))
+    verdict = not failed
+    if doc.get("pass") is not verdict:
+        fail(path, f"pass is {doc.get('pass')!r} but the gates "
+                   f"evaluate to {verdict}")
+    if failed:
+        fail(path, "gate failed: " + "; ".join(failed))
+    return f"{doc['bench']}: {len(gates)} gates pass"
 
 
-def check_shard(path, doc):
-    shards = doc.get("shards")
-    if not isinstance(shards, int) or isinstance(shards, bool) \
-            or shards < 2:
-        fail(path, "shards is not an integer >= 2 (no fan-out "
-                   "was measured)")
-    for key in ("single_seconds", "sharded_seconds", "worker_seconds",
-                "merge_seconds"):
-        if not is_num(doc.get(key)) or doc[key] < 0:
-            fail(path, f"{key!r} is not a non-negative number")
-    if doc["merge_seconds"] > doc["sharded_seconds"]:
-        fail(path, "merge_seconds exceeds sharded_seconds")
-    speedup = doc.get("speedup")
-    min_speedup = doc.get("min_speedup")
-    if not is_num(speedup) or not is_num(min_speedup):
-        fail(path, "missing numeric speedup/min_speedup")
-    if speedup < min_speedup:
-        fail(path, f"speedup {speedup} < {min_speedup} "
-                   "(sharding is not paying for itself)")
-    if doc.get("deterministic") is not True:
-        fail(path, "merged campaign diverges from the single-process "
-                   "run (deterministic != true)")
-    print(f"{path}: OK (shard speedup {speedup:.2f}x over "
-          f"{shards} shards, merge deterministic)")
+CHECKS = {
+    "scamv-bench-v1": check_envelope,
+    "scamv-metrics-v1": check_metrics,
+    "scamv-coverage-v1": check_coverage,
+}
 
 
-def check_triage(path, doc):
-    screened = doc.get("screened")
-    if not isinstance(screened, int) or isinstance(screened, bool) \
-            or screened < 1:
-        fail(path, "screened is not an integer >= 1 (the pre-screen "
-                   "proved nothing boring)")
-    for key in ("screen_off_seconds", "screen_on_seconds",
-                "smt_queries_off", "smt_queries_on"):
-        if not is_num(doc.get(key)) or doc[key] < 0:
-            fail(path, f"{key!r} is not a non-negative number")
-    speedup = doc.get("speedup")
-    min_speedup = doc.get("min_speedup")
-    avoided = doc.get("smt_avoided")
-    min_avoided = doc.get("min_smt_avoided")
-    if not is_num(speedup) or not is_num(min_speedup):
-        fail(path, "missing numeric speedup/min_speedup")
-    if not is_num(avoided) or not is_num(min_avoided):
-        fail(path, "missing numeric smt_avoided/min_smt_avoided")
-    if doc["smt_queries_on"] > doc["smt_queries_off"]:
-        fail(path, "screened run issued more SMT queries than the "
-                   "unscreened one")
-    if speedup < min_speedup and avoided < min_avoided:
-        fail(path, f"speedup {speedup} < {min_speedup} and "
-                   f"smt_avoided {avoided} < {min_avoided} "
-                   "(the pre-screen is not paying for itself)")
-    if doc.get("deterministic") is not True:
-        fail(path, "screened campaign diverges from the unscreened "
-                   "one (deterministic != true)")
-    print(f"{path}: OK (triage speedup {speedup:.2f}x, "
-          f"{100 * avoided:.0f}% SMT avoided, {screened} screened, "
-          f"outcome-preserving)")
+def nested(path, doc):
+    """(path, object) for every object below `doc` that carries a
+    known schema, outermost first."""
+    for key, value in doc.items():
+        if not isinstance(value, dict):
+            continue
+        if value.get("schema") in CHECKS:
+            yield f"{path}[{key}]", value
+        else:
+            yield from nested(f"{path}[{key}]", value)
 
 
-def check_svc(path, doc):
-    campaigns = doc.get("campaigns")
-    if not isinstance(campaigns, int) or isinstance(campaigns, bool) \
-            or campaigns < 2:
-        fail(path, "campaigns is not an integer >= 2 (no "
-                   "cross-campaign sharing was measured)")
-    for key in ("standalone_seconds", "service_seconds",
-                "standalone_misses", "service_misses"):
-        if not is_num(doc.get(key)) or doc[key] < 0:
-            fail(path, f"{key!r} is not a non-negative number")
-    if doc["service_misses"] > doc["standalone_misses"]:
-        fail(path, "service run missed the cache more often than "
-                   "the standalone runs")
-    speedup = doc.get("speedup")
-    min_speedup = doc.get("min_speedup")
-    avoided = doc.get("solves_avoided")
-    min_avoided = doc.get("min_solves_avoided")
-    if not is_num(speedup) or not is_num(min_speedup):
-        fail(path, "missing numeric speedup/min_speedup")
-    if not is_num(avoided) or not is_num(min_avoided):
-        fail(path, "missing numeric solves_avoided/"
-                   "min_solves_avoided")
-    if speedup < min_speedup and avoided < min_avoided:
-        fail(path, f"speedup {speedup} < {min_speedup} and "
-                   f"solves_avoided {avoided} < {min_avoided} "
-                   "(the shared qcache is not paying for itself)")
-    if doc.get("deterministic") is not True:
-        fail(path, "a service campaign diverges from its standalone "
-                   "run (deterministic != true)")
-    print(f"{path}: OK (service speedup {speedup:.2f}x over "
-          f"{campaigns} campaigns, {100 * avoided:.0f}% solves "
-          f"avoided, byte-identical)")
-
-
-def check_front(path, doc):
-    kernels = doc.get("kernels")
-    if not isinstance(kernels, int) or isinstance(kernels, bool) \
-            or kernels < 1:
-        fail(path, "kernels is not an integer >= 1 (empty corpus?)")
-    for key in ("instructions", "iterations", "compile_seconds",
-                "compiles_per_second"):
-        if not is_num(doc.get(key)) or doc[key] < 0:
-            fail(path, f"{key!r} is not a non-negative number")
-    per_sec = doc.get("compiles_per_second")
-    floor = doc.get("min_compiles_per_second")
-    if not is_num(floor):
-        fail(path, "missing numeric min_compiles_per_second")
-    if per_sec < floor:
-        fail(path, f"compiles_per_second {per_sec} < {floor} "
-                   "(frontend throughput regressed)")
-    if doc.get("deterministic") is not True:
-        fail(path, "independent corpus loads disagree "
-                   "(deterministic != true)")
-    if doc.get("round_trip") is not True:
-        fail(path, "a kernel fails to round-trip through the bir "
-                   "assembler (round_trip != true)")
-    print(f"{path}: OK ({kernels} kernels at {per_sec:.0f} "
-          f"compiles/s, deterministic, round-trips)")
+def check_doc(path, doc):
+    """Validate `doc` by its schema, then every nested object that
+    carries a known schema of its own."""
+    schema = doc.get("schema")
+    if schema not in CHECKS:
+        fail(path, f"unrecognized schema {schema!r} (expected one of "
+                   f"{', '.join(CHECKS)})")
+    summary = [CHECKS[schema](path, doc)]
+    for inner_path, inner in nested(path, doc):
+        summary.append(f"{inner_path}: {check_doc(inner_path, inner)}")
+    return "; ".join(summary)
 
 
 def check_file(path):
@@ -372,34 +230,23 @@ def check_file(path):
         fail(path, f"malformed JSON: {e}")
     if not isinstance(doc, dict):
         fail(path, "top level is not an object")
-    if doc.get("schema") == "scamv-metrics-v1":
-        check_metrics(path, doc)
-    elif doc.get("schema") == "scamv-qcache-v1":
-        check_qcache(path, doc)
-    elif doc.get("schema") == "scamv-coverage-v1":
-        check_coverage(path, doc)
-    elif doc.get("schema") == "scamv-hotpath-v1":
-        check_hotpath(path, doc)
-    elif doc.get("schema") == "scamv-shard-v1":
-        check_shard(path, doc)
-    elif doc.get("schema") == "scamv-triage-v1":
-        check_triage(path, doc)
-    elif doc.get("schema") == "scamv-svc-v1":
-        check_svc(path, doc)
-    elif doc.get("schema") == "scamv-front-v1":
-        check_front(path, doc)
-    elif "campaigns" in doc:
-        check_parallel(path, doc)
-    else:
-        fail(path, "unrecognized schema (neither scamv-metrics-v1 "
-                   "nor a parallel-bench report)")
+    print(f"{path}: OK ({check_doc(path, doc)})")
 
 
 def main(argv):
     if len(argv) < 2:
         raise SystemExit(__doc__.strip())
+    # Every file is checked, so one failing report does not hide
+    # another.
+    invalid = 0
     for path in argv[1:]:
-        check_file(path)
+        try:
+            check_file(path)
+        except Invalid as e:
+            print(e, file=sys.stderr)
+            invalid += 1
+    if invalid:
+        raise SystemExit(f"{invalid} of {len(argv) - 1} files invalid")
 
 
 if __name__ == "__main__":
