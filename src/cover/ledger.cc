@@ -1,9 +1,8 @@
 #include "cover/ledger.hh"
 
-#include <cstdio>
-#include <fstream>
 
 #include "support/faults.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::cover {
 
@@ -92,26 +91,9 @@ CoverageLedger::clear()
 namespace {
 
 std::string
-jsonDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
 jsonString(const std::string &s)
 {
-    // Template/model/path-id names never contain characters needing
-    // escapes beyond quotes and backslashes; handle those two anyway.
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
+    return '"' + text::jsonEscape(s) + '"';
 }
 
 } // namespace
@@ -139,7 +121,7 @@ toJson(const Snapshot &snap)
             out += std::to_string(cls);
             out += "\": {\"hits\": " + std::to_string(stats.hits) +
                    ", \"draws\": " + std::to_string(stats.draws) +
-                   ", \"solver_s\": " + jsonDouble(stats.solverSeconds) +
+                   ", \"solver_s\": " + text::g17(stats.solverSeconds) +
                    "}";
         }
         out += cell.classes.empty() ? "},\n" : "\n      },\n";
@@ -176,11 +158,7 @@ toJson(const Snapshot &snap)
 bool
 writeJson(const Snapshot &snap, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << toJson(snap);
-    return static_cast<bool>(out);
+    return text::writeFile(path, toJson(snap));
 }
 
 } // namespace scamv::cover

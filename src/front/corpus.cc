@@ -16,27 +16,15 @@
 #include "front/front.hh"
 
 #include "support/logging.hh"
+#include "support/textcodec.hh"
 
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace scamv::front {
 
 namespace {
-
-std::optional<std::string>
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /** "sbox" from "examples/corpus/sbox.sc". */
 std::string
@@ -50,7 +38,7 @@ stemOf(const std::string &path)
 std::optional<CompiledProgram>
 loadProgramFile(const std::string &path, const CompileOptions &opts)
 {
-    std::optional<std::string> src = readFile(path);
+    std::optional<std::string> src = text::readFile(path);
     if (!src) {
         warn("front: cannot read program file " + path);
         return std::nullopt;

@@ -18,12 +18,11 @@
 #include "front/front.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
+
+#include "support/textcodec.hh"
 
 using namespace scamv;
 
@@ -55,8 +54,8 @@ main(int argc, char **argv)
             emitBir = true;
         } else if (!std::strcmp(argv[i], "--unroll-budget") &&
                    i + 1 < argc) {
-            opts.unrollBudget = std::atol(argv[++i]);
-            if (opts.unrollBudget <= 0) {
+            if (!text::parseNum(argv[++i], opts.unrollBudget) ||
+                opts.unrollBudget <= 0) {
                 std::fprintf(stderr, "scamv-fc: bad --unroll-budget\n");
                 return 2;
             }
@@ -77,16 +76,14 @@ main(int argc, char **argv)
 
     int rc = 0;
     for (const std::string &path : files) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
+        const std::optional<std::string> read = text::readFile(path);
+        if (!read) {
             std::fprintf(stderr, "scamv-fc: cannot read %s\n",
                          path.c_str());
             rc = 1;
             continue;
         }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        std::string src = ss.str();
+        const std::string &src = *read;
 
         if (emitAst) {
             front::ParseResult p = front::parse(src);

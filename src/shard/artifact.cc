@@ -3,11 +3,11 @@
  * The "scamv-shard-v1" transfer artifact: lossless text serialization
  * of a campaign slice's per-program outcomes.
  *
- * Format conventions follow the qcache checkpoint ("scamv-qcache-v1",
- * support/qcache): line-oriented, space-separated fields, every line
- * ending in an fnv1a checksum over the line's prefix; string fields
- * are percent-escaped so names with spaces ("Template A#3") and
- * multi-line program text survive.  A *program group* — the P line
+ * Lines follow the shared text codec (support/textcodec.hh):
+ * space-separated fields, every line ending in a 16-digit fnv1a
+ * checksum over the line's prefix; string fields are percent-escaped
+ * so names with spaces ("Template A#3") and multi-line program text
+ * survive.  A *program group* — the P line
  * and everything up to the next P line — is the unit of damage: any
  * invalid line drops the whole group (a partial outcome would corrupt
  * the merge), mirroring qcache's drop-and-count record handling.
@@ -21,199 +21,33 @@
 
 #include "shard/shard.hh"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/qcache/canon.hh"
+#include "support/qcache/qcache.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::shard {
 namespace {
 
 constexpr const char *kHeader = "scamv-shard-v1";
-constexpr const char *kQcacheHeader = "scamv-qcache-v1";
 
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
+using text::esc;
+using text::hex16;
+using text::parseNum;
+using text::unesc;
 
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** Percent-escape a field: no spaces, no newlines, never empty. */
-std::string
-esc(std::string_view s)
-{
-    if (s.empty())
-        return "-";
-    if (s == "-")
-        return "%2D";
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        if (c == '%' || c == ' ' || u < 0x20) {
-            char buf[4];
-            std::snprintf(buf, sizeof buf, "%%%02X", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-int
-hexNibble(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
-}
-
-std::optional<std::string>
-unesc(std::string_view s)
-{
-    if (s == "-")
-        return std::string();
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out += s[i];
-            continue;
-        }
-        if (i + 2 >= s.size())
-            return std::nullopt;
-        const int hi = hexNibble(s[i + 1]);
-        const int lo = hexNibble(s[i + 2]);
-        if (hi < 0 || lo < 0)
-            return std::nullopt;
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-    }
-    return out;
-}
-
-/** Append `line` with its trailing fnv1a checksum field. */
+/** Append `line` with its trailing checksum field. */
 void
-pushLine(std::string &out, const std::string &line)
+pushLine(std::string &out, std::string_view line)
 {
-    out += line;
-    out += ' ';
-    out += hex16(qcache::fnv1a(line));
+    out += text::withChecksum(line);
     out += '\n';
-}
-
-/**
- * Validate a line's trailing checksum and strip it.
- * @return the line's prefix, or nullopt when the checksum field is
- * missing or does not match.
- */
-std::optional<std::string_view>
-checkLine(std::string_view line)
-{
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string_view::npos ||
-        line.size() - space - 1 != 16)
-        return std::nullopt;
-    const std::string_view prefix = line.substr(0, space);
-    std::uint64_t sum = 0;
-    for (char c : line.substr(space + 1)) {
-        const int nib = hexNibble(c);
-        if (nib < 0)
-            return std::nullopt;
-        sum = sum * 16 + static_cast<std::uint64_t>(nib);
-    }
-    if (sum != qcache::fnv1a(prefix))
-        return std::nullopt;
-    return prefix;
-}
-
-std::vector<std::string_view>
-splitFields(std::string_view s)
-{
-    std::vector<std::string_view> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t space = s.find(' ', pos);
-        if (space == std::string_view::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, space - pos));
-        pos = space + 1;
-    }
-    return out;
-}
-
-bool
-parseU64(std::string_view s, std::uint64_t &out, int base = 10)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoull(buf, &end, base);
-    return end == buf + s.size();
-}
-
-bool
-parseI64(std::string_view s, std::int64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoll(buf, &end, 10);
-    return end == buf + s.size();
-}
-
-bool
-parseInt(std::string_view s, int &out)
-{
-    std::int64_t v = 0;
-    if (!parseI64(s, v) || v < INT32_MIN || v > INT32_MAX)
-        return false;
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    if (s.empty() || s.size() > 40)
-        return false;
-    char buf[48];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + s.size();
 }
 
 /** Sparse register list: "i:hex,i:hex" over non-zero regs, "-" if
@@ -227,37 +61,43 @@ encodeRegs(const hw::ArchState &regs)
             continue;
         if (!out.empty())
             out += ',';
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%zu:%" PRIx64, i, regs.regs[i]);
-        out += buf;
+        out += std::to_string(i) + ':' + text::hex(regs.regs[i]);
     }
     return out.empty() ? "-" : out;
+}
+
+/**
+ * Decode a "-" (empty) or "k:v,k:v" list — keys in `key_base`,
+ * values hex — handing each pair to `put`.  @return false on a
+ * malformed pair or one `put` rejects.
+ */
+template <class Put>
+bool
+decodePairs(std::string_view s, int key_base, Put put)
+{
+    if (s == "-")
+        return true;
+    for (std::string_view item : text::split(s, ',')) {
+        const std::size_t colon = item.find(':');
+        std::uint64_t key = 0, val = 0;
+        if (colon == std::string_view::npos ||
+            !parseNum(item.substr(0, colon), key, key_base) ||
+            !parseNum(item.substr(colon + 1), val, 16) || !put(key, val))
+            return false;
+    }
+    return true;
 }
 
 bool
 decodeRegs(std::string_view s, hw::ArchState &out)
 {
     out = hw::ArchState{};
-    if (s == "-")
-        return true;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string_view::npos)
-            comma = s.size();
-        const std::string_view item = s.substr(pos, comma - pos);
-        const std::size_t colon = item.find(':');
-        if (colon == std::string_view::npos)
-            return false;
-        std::uint64_t idx = 0, val = 0;
-        if (!parseU64(item.substr(0, colon), idx) ||
-            !parseU64(item.substr(colon + 1), val, 16) ||
-            idx >= out.regs.size())
+    return decodePairs(s, 10, [&](std::uint64_t idx, std::uint64_t val) {
+        if (idx >= out.regs.size())
             return false;
         out.regs[idx] = val;
-        pos = comma + 1;
-    }
-    return true;
+        return true;
+    });
 }
 
 /** Memory init list: "addr:word,addr:word" in vector order (order is
@@ -269,10 +109,7 @@ encodeMem(const harness::MemInit &mem)
     for (const auto &[addr, word] : mem) {
         if (!out.empty())
             out += ',';
-        char buf[48];
-        std::snprintf(buf, sizeof buf, "%" PRIx64 ":%" PRIx64, addr,
-                      word);
-        out += buf;
+        out += text::hex(addr) + ':' + text::hex(word);
     }
     return out.empty() ? "-" : out;
 }
@@ -281,25 +118,10 @@ bool
 decodeMem(std::string_view s, harness::MemInit &out)
 {
     out.clear();
-    if (s == "-")
-        return true;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string_view::npos)
-            comma = s.size();
-        const std::string_view item = s.substr(pos, comma - pos);
-        const std::size_t colon = item.find(':');
-        if (colon == std::string_view::npos)
-            return false;
-        std::uint64_t addr = 0, word = 0;
-        if (!parseU64(item.substr(0, colon), addr, 16) ||
-            !parseU64(item.substr(colon + 1), word, 16))
-            return false;
+    return decodePairs(s, 16, [&](std::uint64_t addr, std::uint64_t word) {
         out.emplace_back(addr, word);
-        pos = comma + 1;
-    }
-    return true;
+        return true;
+    });
 }
 
 void
@@ -311,21 +133,21 @@ encodeOutcome(std::string &out, int k,
                            (o.quarantined ? 4u : 0u);
     pushLine(out, "P " + std::to_string(k) + ' ' +
                       std::to_string(flags) + ' ' + esc(o.name) + ' ' +
-                      fmtDouble(o.firstCexOffsetSeconds) + ' ' +
-                      fmtDouble(o.taskSeconds));
+                      text::g17(o.firstCexOffsetSeconds) + ' ' +
+                      text::g17(o.taskSeconds));
     for (const auto &[key, val] : o.metrics.counters)
         pushLine(out, "C " + esc(key) + ' ' + std::to_string(val));
     for (const auto &[key, val] : o.metrics.gauges)
-        pushLine(out, "G " + esc(key) + ' ' + fmtDouble(val));
+        pushLine(out, "G " + esc(key) + ' ' + text::g17(val));
     for (const auto &[key, h] : o.metrics.histograms) {
         std::string line = "H " + esc(key) + ' ' +
                            std::to_string(h.bounds.size());
         for (double b : h.bounds)
-            line += ' ' + fmtDouble(b);
+            line += ' ' + text::g17(b);
         line += ' ' + std::to_string(h.counts.size());
         for (std::uint64_t c : h.counts)
             line += ' ' + std::to_string(c);
-        line += ' ' + std::to_string(h.count) + ' ' + fmtDouble(h.sum);
+        line += ' ' + std::to_string(h.count) + ' ' + text::g17(h.sum);
         pushLine(out, line);
     }
     const cover::ProgramDelta &d = o.coverDelta;
@@ -341,7 +163,7 @@ encodeOutcome(std::string &out, int k,
             pushLine(out, "K " + std::to_string(cls) + ' ' +
                               std::to_string(st.hits) + ' ' +
                               std::to_string(st.draws) + ' ' +
-                              fmtDouble(st.solverSeconds));
+                              text::g17(st.solverSeconds));
         for (const auto &[pair, n] : d.pathPairs)
             pushLine(out,
                      "Q " + esc(pair) + ' ' + std::to_string(n));
@@ -389,14 +211,14 @@ struct GroupParse {
 bool
 parseGroupLine(std::string_view prefix, GroupParse &group)
 {
-    const std::vector<std::string_view> f = splitFields(prefix);
+    const std::vector<std::string_view> f = text::split(prefix);
     if (f.empty())
         return false;
     core::ProgramOutcome &o = group.outcome;
     if (f[0] == "C") {
         std::uint64_t val = 0;
         auto key = f.size() == 3 ? unesc(f[1]) : std::nullopt;
-        if (!key || !parseU64(f[2], val))
+        if (!key || !parseNum(f[2], val))
             return false;
         o.metrics.counters[*key] = val;
         return true;
@@ -404,7 +226,7 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
     if (f[0] == "G") {
         double val = 0;
         auto key = f.size() == 3 ? unesc(f[1]) : std::nullopt;
-        if (!key || !parseDouble(f[2], val))
+        if (!key || !parseNum(f[2], val))
             return false;
         o.metrics.gauges[*key] = val;
         return true;
@@ -414,25 +236,25 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
             return false;
         auto key = unesc(f[1]);
         std::uint64_t nb = 0;
-        if (!key || !parseU64(f[2], nb) || nb > 4096 ||
+        if (!key || !parseNum(f[2], nb) || nb > 4096 ||
             f.size() < 3 + nb + 1)
             return false;
         metrics::HistogramData h;
         h.bounds.resize(nb);
         std::size_t at = 3;
         for (std::uint64_t i = 0; i < nb; ++i)
-            if (!parseDouble(f[at++], h.bounds[i]))
+            if (!parseNum(f[at++], h.bounds[i]))
                 return false;
         std::uint64_t nc = 0;
-        if (!parseU64(f[at++], nc) || nc != nb + 1 ||
+        if (!parseNum(f[at++], nc) || nc != nb + 1 ||
             f.size() != at + nc + 2)
             return false;
         h.counts.resize(nc);
         for (std::uint64_t i = 0; i < nc; ++i)
-            if (!parseU64(f[at++], h.counts[i]))
+            if (!parseNum(f[at++], h.counts[i]))
                 return false;
-        if (!parseU64(f[at++], h.count) ||
-            !parseDouble(f[at++], h.sum))
+        if (!parseNum(f[at++], h.count) ||
+            !parseNum(f[at++], h.sum))
             return false;
         o.metrics.histograms[*key] = std::move(h);
         return true;
@@ -444,11 +266,11 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
         auto model = unesc(f[2]);
         cover::ProgramDelta &d = o.coverDelta;
         if (!templ || templ->empty() || !model ||
-            !parseU64(f[3], d.universe) ||
-            !parseI64(f[4], d.verdicts.experiments) ||
-            !parseI64(f[5], d.verdicts.counterexamples) ||
-            !parseI64(f[6], d.verdicts.inconclusive) ||
-            !parseI64(f[7], d.verdicts.indistinguishable))
+            !parseNum(f[3], d.universe) ||
+            !parseNum(f[4], d.verdicts.experiments) ||
+            !parseNum(f[5], d.verdicts.counterexamples) ||
+            !parseNum(f[6], d.verdicts.inconclusive) ||
+            !parseNum(f[7], d.verdicts.indistinguishable))
             return false;
         d.templ = *templ;
         d.model = *model;
@@ -459,9 +281,9 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
             return false;
         int cls = 0;
         cover::ClassStats st;
-        if (!parseInt(f[1], cls) || !parseI64(f[2], st.hits) ||
-            !parseI64(f[3], st.draws) ||
-            !parseDouble(f[4], st.solverSeconds))
+        if (!parseNum(f[1], cls) || !parseNum(f[2], st.hits) ||
+            !parseNum(f[3], st.draws) ||
+            !parseNum(f[4], st.solverSeconds))
             return false;
         o.coverDelta.classes[cls] = st;
         return true;
@@ -471,7 +293,7 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
             return false;
         auto pair = unesc(f[1]);
         std::int64_t n = 0;
-        if (!pair || !parseI64(f[2], n))
+        if (!pair || !parseNum(f[2], n))
             return false;
         o.coverDelta.pathPairs[*pair] = n;
         return true;
@@ -485,11 +307,11 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
         auto path = unesc(f[3]);
         int verdict = 0;
         if (!name || !text || !path || (f[4] != "0" && f[4] != "1") ||
-            !parseInt(f[5], r.lineClass1) ||
-            !parseInt(f[6], r.lineClass2) ||
-            !parseInt(f[7], verdict) || verdict < 0 || verdict > 2 ||
-            !parseInt(f[8], r.differingReps) ||
-            !parseInt(f[9], r.totalReps) ||
+            !parseNum(f[5], r.lineClass1) ||
+            !parseNum(f[6], r.lineClass2) ||
+            !parseNum(f[7], verdict) || verdict < 0 || verdict > 2 ||
+            !parseNum(f[8], r.differingReps) ||
+            !parseNum(f[9], r.totalReps) ||
             !decodeRegs(f[10], r.testCase.s1.regs) ||
             !decodeMem(f[11], r.testCase.s1.mem) ||
             !decodeRegs(f[12], r.testCase.s2.regs) ||
@@ -511,13 +333,13 @@ parseGroupLine(std::string_view prefix, GroupParse &group)
         auto mechanism = unesc(f[3]);
         auto signature = unesc(f[4]);
         auto core_text = unesc(f[11]);
-        if (!parseInt(f[1], fd.progIndex) || !program || !mechanism ||
+        if (!parseNum(f[1], fd.progIndex) || !program || !mechanism ||
             !signature || (f[5] != "0" && f[5] != "1") ||
             (f[6] != "0" && f[6] != "1") ||
-            !parseInt(f[7], fd.instrsBefore) ||
-            !parseInt(f[8], fd.instrsAfter) ||
-            !parseInt(f[9], fd.stateBitsBefore) ||
-            !parseInt(f[10], fd.stateBitsAfter) || !core_text ||
+            !parseNum(f[7], fd.instrsBefore) ||
+            !parseNum(f[8], fd.instrsAfter) ||
+            !parseNum(f[9], fd.stateBitsBefore) ||
+            !parseNum(f[10], fd.stateBitsAfter) || !core_text ||
             !decodeRegs(f[12], fd.tc.s1.regs) ||
             !decodeMem(f[13], fd.tc.s1.mem) ||
             !decodeRegs(f[14], fd.tc.s2.regs) ||
@@ -558,36 +380,24 @@ encodeSlice(const core::CampaignSlice &slice, const ShardSpec &spec,
 }
 
 std::optional<DecodedSlice>
-decodeSlice(std::string_view text)
+decodeSlice(std::string_view artifact)
 {
-    std::size_t pos = 0;
-    const auto nextLine = [&]() -> std::optional<std::string_view> {
-        if (pos >= text.size())
-            return std::nullopt;
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string_view::npos)
-            nl = text.size();
-        const std::string_view line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return line;
-    };
-
-    const auto header_line = nextLine();
-    if (!header_line)
+    std::string_view line;
+    if (!text::nextLine(artifact, line))
         return std::nullopt;
-    const auto header = checkLine(*header_line);
+    const auto header = text::checkLine(line);
     if (!header)
         return std::nullopt;
-    const std::vector<std::string_view> hf = splitFields(*header);
+    const std::vector<std::string_view> hf = text::split(*header);
     DecodedSlice out;
     std::uint64_t seed = 0;
     if (hf.size() != 9 || hf[0] != kHeader ||
-        !parseInt(hf[1], out.spec.index) ||
-        !parseInt(hf[2], out.spec.count) || !parseU64(hf[3], seed, 16) ||
-        !parseInt(hf[4], out.programs) ||
-        !parseInt(hf[5], out.slice.first) ||
-        !parseInt(hf[6], out.slice.count) ||
-        !parseInt(hf[7], out.slice.earlyStopped) ||
+        !parseNum(hf[1], out.spec.index) ||
+        !parseNum(hf[2], out.spec.count) || !parseNum(hf[3], seed, 16) ||
+        !parseNum(hf[4], out.programs) ||
+        !parseNum(hf[5], out.slice.first) ||
+        !parseNum(hf[6], out.slice.count) ||
+        !parseNum(hf[7], out.slice.earlyStopped) ||
         (hf[8] != "0" && hf[8] != "1"))
         return std::nullopt;
     out.seed = seed;
@@ -609,23 +419,23 @@ decodeSlice(std::string_view text)
         group = GroupParse{};
     };
 
-    while (const auto line = nextLine()) {
-        if (line->empty())
+    while (text::nextLine(artifact, line)) {
+        if (line.empty())
             continue;
-        const auto prefix = checkLine(*line);
+        const auto prefix = text::checkLine(line);
         if (prefix && !prefix->empty() && prefix->front() == 'P') {
             commit();
             const std::vector<std::string_view> f =
-                splitFields(*prefix);
+                text::split(*prefix);
             int k = -1;
             std::uint64_t flags = 0;
             double cex = 0, task = 0;
             auto name = f.size() == 6 ? unesc(f[3]) : std::nullopt;
-            if (f[0] != "P" || !name || !parseInt(f[1], k) || k < 0 ||
+            if (f[0] != "P" || !name || !parseNum(f[1], k) || k < 0 ||
                 k >= out.slice.count ||
                 out.present[static_cast<std::size_t>(k)] ||
-                !parseU64(f[2], flags) || flags > 7 ||
-                !parseDouble(f[4], cex) || !parseDouble(f[5], task)) {
+                !parseNum(f[2], flags) || flags > 7 ||
+                !parseNum(f[4], cex) || !parseNum(f[5], task)) {
                 // A damaged or duplicate P line loses its whole
                 // group; the body lines that follow are swallowed
                 // until the next P line (group.k stays -1).
@@ -665,15 +475,15 @@ mergeQcacheFiles(const std::vector<std::string> &inputs,
 {
     metrics::Counter &dropped =
         metrics::Registry::global().counter("shard.load_dropped");
-    std::string out = std::string(kQcacheHeader) + "\n";
-    std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+    std::string out = std::string(qcache::kFileHeader) + "\n";
+    std::unordered_set<qcache::Key, qcache::KeyHash> seen;
     std::uint64_t written = 0;
     for (const std::string &path : inputs) {
         std::ifstream in(path, std::ios::binary);
         if (!in)
             continue; // cache disabled on that shard
         std::string line;
-        if (!std::getline(in, line) || line != kQcacheHeader) {
+        if (!std::getline(in, line) || line != qcache::kFileHeader) {
             warn("shard: foreign qcache checkpoint " + path +
                  ", skipping");
             dropped.inc();
@@ -682,37 +492,19 @@ mergeQcacheFiles(const std::vector<std::string> &inputs,
         while (std::getline(in, line)) {
             if (line.empty())
                 continue;
-            // Validate like qcache load: checksum over the prefix
-            // before the final space (qcache writes unpadded %llx
-            // hex, so the field width varies), 7 non-empty fields,
-            // hex key.
-            const std::string_view lv = line;
-            const std::size_t space = lv.rfind(' ');
-            bool ok = space != std::string_view::npos;
-            std::uint64_t sum = 0, hi = 0, lo = 0;
-            ok = ok && parseU64(lv.substr(space + 1), sum, 16) &&
-                 sum == qcache::fnv1a(lv.substr(0, space));
-            if (ok) {
-                const std::vector<std::string_view> f =
-                    splitFields(lv.substr(0, space));
-                ok = f.size() == 6 && parseU64(f[0], hi, 16) &&
-                     parseU64(f[1], lo, 16);
-                for (const std::string_view &field : f)
-                    ok = ok && !field.empty();
-            }
-            if (!ok) {
+            const std::optional<qcache::Key> key = qcache::recordKey(line);
+            if (!key) {
                 dropped.inc();
                 continue;
             }
-            if (!seen.emplace(hi, lo).second)
+            if (!seen.insert(*key).second)
                 continue; // keep-first, as QueryCache::store does
             out += line;
             out += '\n';
             ++written;
         }
     }
-    std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-    if (!os || !(os << out) || !os.flush())
+    if (!text::writeFile(out_path, out))
         return std::nullopt;
     return written;
 }
@@ -722,16 +514,6 @@ writeCampaignArtifacts(const core::RunStats &stats,
                        const core::ExperimentDb *db,
                        const std::string &dir)
 {
-    const auto write_text = [](const std::string &path,
-                               const std::string &text) {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        if (!os || !(os << text) || !os.flush()) {
-            warn("shard: cannot write " + path);
-            return false;
-        }
-        return true;
-    };
-
     bool ok = metrics::writeJson(stats.metrics,
                                  dir + "/" + kMetricsFile);
     if (!ok)
@@ -772,7 +554,11 @@ writeCampaignArtifacts(const core::RunStats &stats,
     field("ledger_merge_drops", stats.ledgerMergeDrops);
     field("scheduler_degraded", stats.schedulerDegraded ? 1 : 0, true);
     js << "}\n";
-    return write_text(dir + "/" + kStatsFile, js.str()) && ok;
+    if (!text::writeFile(dir + "/" + kStatsFile, js.str())) {
+        warn("shard: cannot write " + dir + "/" + kStatsFile);
+        ok = false;
+    }
+    return ok;
 }
 
 } // namespace scamv::shard

@@ -7,15 +7,14 @@
 #include "shard/shard.hh"
 
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/qcache/qcache.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::shard {
 namespace {
@@ -44,15 +43,6 @@ simulateDbDrops(const core::PipelineConfig &cfg, int prog_i,
             ++drops;
     }
     return drops;
-}
-
-std::string
-readWhole(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return in ? ss.str() : std::string();
 }
 
 } // namespace
@@ -105,10 +95,8 @@ mergeCampaign(core::PipelineConfig cfg, int shard_count,
         const std::string path = shardDir(root, sh) + "/" +
                                  kOutcomesFile;
         std::optional<DecodedSlice> dec;
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::ostringstream ss;
-            ss << in.rdbuf();
+        if (const std::optional<std::string> artifact =
+                text::readFile(path)) {
             // Load-time injection mirrors qcache: one decision per
             // record group, deterministic in (seed, shard's first
             // program, site, group ordinal).  Injected-fault tallies
@@ -122,7 +110,7 @@ mergeCampaign(core::PipelineConfig cfg, int shard_count,
             metrics::ScopedRegistry reg_scope(scratch);
             if (inject_load)
                 inj_scope.emplace(injector);
-            dec = decodeSlice(ss.str());
+            dec = decodeSlice(*artifact);
         }
         const ShardSpec want{sh, shard_count};
         if (!dec || dec->spec != want || dec->seed != cfg.seed ||
@@ -224,7 +212,7 @@ mergeCampaign(core::PipelineConfig cfg, int shard_count,
                     qcontrib.begin() + static_cast<std::ptrdiff_t>(
                                            sh + 1));
                 mergeQcacheFiles(seeds, seed_path);
-                seed_text = readWhole(seed_path);
+                seed_text = text::readFile(seed_path).value_or("");
                 qcache::CacheConfig qc = qenv;
                 qc.filePath = seed_path;
                 cache.emplace(qc);
@@ -282,17 +270,17 @@ mergeCampaign(core::PipelineConfig cfg, int shard_count,
                     // are exactly the queries the campaign first
                     // produced in this shard, in program order —
                     // its reconstructed checkpoint segment.
-                    const std::string full = readWhole(seed_path);
+                    const std::string full =
+                        text::readFile(seed_path).value_or("");
                     const std::string seg_path =
                         shardDir(root, sh) + "/qcache.rerun";
                     std::filesystem::create_directories(
                         shardDir(root, sh), ec);
-                    std::ofstream seg(seg_path, std::ios::binary |
-                                                    std::ios::trunc);
-                    if (seg &&
-                        (seg << "scamv-qcache-v1\n"
-                             << full.substr(std::min(
-                                    seed_text.size(), full.size())))) {
+                    if (text::writeFile(
+                            seg_path,
+                            std::string(qcache::kFileHeader) + "\n" +
+                                full.substr(std::min(seed_text.size(),
+                                                     full.size())))) {
                         qcontrib[static_cast<std::size_t>(sh)] =
                             seg_path;
                         any_qcache = true;

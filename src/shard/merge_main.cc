@@ -7,17 +7,18 @@
  *
  * Reads DIR/shard-<i>/ for i in [0, N), writes the campaign-level
  * metrics.json / coverage.json / db.csv / stats.json / qcache.txt
- * into DIR.  Workload flags must match the worker invocations.
+ * into DIR.  Workload flags (shard::parseWorkloadFlag, strict
+ * decimal) must match the worker invocations.
  * Exit status: 0 on success; 1 when --strict found dropped database
  * writes or unrecovered missing programs (or artifacts could not be
  * written).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "shard/shard.hh"
+#include "support/textcodec.hh"
 
 namespace {
 
@@ -41,52 +42,31 @@ main(int argc, char **argv)
 {
     using namespace scamv;
 
-    int programs = 24;
-    int tests = 6;
-    std::uint64_t seed = 99;
-    bool adaptive = false;
-    bool line = false;
-    std::string corpus;
+    shard::WorkloadFlags workload;
     int shards = 0;
     std::string dir;
     shard::MergeOptions opts;
 
     for (int i = 1; i < argc; ++i) {
+        const shard::FlagParse wf =
+            shard::parseWorkloadFlag(argc, argv, i, workload);
+        if (wf == shard::FlagParse::Bad)
+            return usage(argv[0]);
+        if (wf == shard::FlagParse::Taken)
+            continue;
         const std::string arg = argv[i];
         const auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
         if (arg == "--shards") {
             const char *v = next();
-            if (!v || (shards = std::atoi(v)) < 1)
+            if (!v || !text::parseNum(v, shards) || shards < 1)
                 return usage(argv[0]);
         } else if (arg == "--dir") {
             const char *v = next();
             if (!v)
                 return usage(argv[0]);
             dir = v;
-        } else if (arg == "--programs") {
-            const char *v = next();
-            if (!v || (programs = std::atoi(v)) < 1)
-                return usage(argv[0]);
-        } else if (arg == "--tests") {
-            const char *v = next();
-            if (!v || (tests = std::atoi(v)) < 1)
-                return usage(argv[0]);
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            seed = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--adaptive") {
-            adaptive = true;
-        } else if (arg == "--line") {
-            line = true;
-        } else if (arg == "--corpus") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            corpus = v;
         } else if (arg == "--rerun-missing") {
             opts.rerunMissing = true;
         } else if (arg == "--strict") {
@@ -100,12 +80,7 @@ main(int argc, char **argv)
     if (dir.empty())
         dir = shard::dirFromEnv(".");
 
-    core::PipelineConfig cfg =
-        corpus.empty()
-            ? shard::defaultWorkload(programs, tests, seed, adaptive,
-                                     line)
-            : shard::corpusWorkload(programs, tests, seed, adaptive,
-                                    corpus);
+    core::PipelineConfig cfg = workload.config();
     cover::CoverageLedger ledger;
     cfg.coverageLedger = &ledger;
     core::ExperimentDb db;

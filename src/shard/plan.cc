@@ -6,38 +6,27 @@
 #include "shard/shard.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "support/logging.hh"
 #include "support/qcache/canon.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::shard {
 
 std::optional<ShardSpec>
 parseShardSpec(std::string_view spec)
 {
+    // Unsigned: a sign on either number is malformed, "-0" included.
+    constexpr unsigned kMax = std::numeric_limits<int>::max();
     const std::size_t slash = spec.find('/');
-    if (slash == std::string_view::npos || slash == 0 ||
-        slash + 1 >= spec.size())
+    if (slash == std::string_view::npos)
         return std::nullopt;
-    const auto digits = [](std::string_view s) {
-        if (s.empty())
-            return false;
-        for (char c : s)
-            if (c < '0' || c > '9')
-                return false;
-        return true;
-    };
-    const std::string_view idx = spec.substr(0, slash);
-    const std::string_view cnt = spec.substr(slash + 1);
-    // Reject non-digits (including signs) and absurd widths.
-    if (!digits(idx) || !digits(cnt) || idx.size() > 9 || cnt.size() > 9)
+    const auto index = text::parseInRange(spec.substr(0, slash), 0u, kMax);
+    const auto count = text::parseInRange(spec.substr(slash + 1), 1u, kMax);
+    if (!index || !count || *index >= *count)
         return std::nullopt;
-    ShardSpec out;
-    out.index = std::atoi(std::string(idx).c_str());
-    out.count = std::atoi(std::string(cnt).c_str());
-    if (out.count < 1 || out.index < 0 || out.index >= out.count)
-        return std::nullopt;
-    return out;
+    return ShardSpec{static_cast<int>(*index), static_cast<int>(*count)};
 }
 
 std::optional<ShardSpec>

@@ -274,6 +274,35 @@ core::PipelineConfig corpusWorkload(int programs, int tests,
                                     std::uint64_t seed, bool adaptive,
                                     const std::string &corpus_dir);
 
+/**
+ * The workload flags every scamv_worker of a campaign and its
+ * scamv_merge must agree on (defaults: the CI campaign size).
+ */
+struct WorkloadFlags {
+    int programs = 24;
+    int tests = 6;
+    std::uint64_t seed = 99;
+    bool adaptive = false;
+    bool line = false;
+    std::string corpus;
+
+    /** corpusWorkload when a corpus was given, else defaultWorkload. */
+    core::PipelineConfig config() const;
+};
+
+/** How parseWorkloadFlag treated one argument. */
+enum class FlagParse { Other, Taken, Bad };
+
+/**
+ * Offer argv[i] to the workload parser: --programs N and --tests N
+ * (strict decimal, >= 1), --seed S (strict decimal), --adaptive,
+ * --line, --corpus DIR.  Advances `i` past a consumed value.
+ * @return Other when argv[i] is no workload flag, Bad when its value
+ * is missing or malformed.
+ */
+FlagParse parseWorkloadFlag(int argc, char **argv, int &i,
+                            WorkloadFlags &flags);
+
 } // namespace scamv::shard
 
 #endif // SCAMV_SHARD_SHARD_HH

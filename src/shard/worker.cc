@@ -6,12 +6,12 @@
 #include "shard/shard.hh"
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <utility>
 
 #include "support/logging.hh"
 #include "support/qcache/qcache.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::shard {
 
@@ -60,14 +60,10 @@ runWorker(core::PipelineConfig cfg, const ShardSpec &spec,
 
     // Serialize the transfer artifact before the merge tail consumes
     // the buffered records.
-    const std::string text = encodeSlice(slice, spec, cfg);
-    {
-        const std::string path = dir + "/" + kOutcomesFile;
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        res.ok = os && (os << text) && os.flush();
-        if (!res.ok)
-            warn("shard: cannot write " + path);
-    }
+    const std::string outcomes = dir + "/" + kOutcomesFile;
+    res.ok = text::writeFile(outcomes, encodeSlice(slice, spec, cfg));
+    if (!res.ok)
+        warn("shard: cannot write " + outcomes);
 
     // Shard-local campaign artifacts: place the slice into a
     // full-length slot array so the merge tail's per-program fault

@@ -11,12 +11,12 @@
  * a CI matrix can fan the same command line out over shard indices.
  * Worker artifacts land in DIR/shard-<i>/; --single writes the
  * campaign-level reference artifacts directly into DIR.  Workload
- * flags (--programs, --tests, --seed, --adaptive, --line) must match
- * across every worker and the final scamv_merge invocation.
+ * flags (--programs, --tests, --seed, --adaptive, --line, --corpus;
+ * shard::parseWorkloadFlag, strict decimal) must match across every
+ * worker and the final scamv_merge invocation.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -48,17 +48,18 @@ main(int argc, char **argv)
 {
     using namespace scamv;
 
-    int programs = 24;
-    int tests = 6;
-    std::uint64_t seed = 99;
-    bool adaptive = false;
-    bool line = false;
+    shard::WorkloadFlags workload;
     bool single = false;
-    std::string corpus;
     std::string dir;
     std::optional<shard::ShardSpec> spec;
 
     for (int i = 1; i < argc; ++i) {
+        const shard::FlagParse wf =
+            shard::parseWorkloadFlag(argc, argv, i, workload);
+        if (wf == shard::FlagParse::Bad)
+            return usage(argv[0]);
+        if (wf == shard::FlagParse::Taken)
+            continue;
         const std::string arg = argv[i];
         const auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
@@ -73,28 +74,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             dir = v;
-        } else if (arg == "--programs") {
-            const char *v = next();
-            if (!v || (programs = std::atoi(v)) < 1)
-                return usage(argv[0]);
-        } else if (arg == "--tests") {
-            const char *v = next();
-            if (!v || (tests = std::atoi(v)) < 1)
-                return usage(argv[0]);
-        } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            seed = std::strtoull(v, nullptr, 0);
-        } else if (arg == "--adaptive") {
-            adaptive = true;
-        } else if (arg == "--line") {
-            line = true;
-        } else if (arg == "--corpus") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            corpus = v;
         } else if (arg == "--single") {
             single = true;
         } else {
@@ -109,12 +88,7 @@ main(int argc, char **argv)
             return usage(argv[0]);
     }
 
-    core::PipelineConfig cfg =
-        corpus.empty()
-            ? shard::defaultWorkload(programs, tests, seed, adaptive,
-                                     line)
-            : shard::corpusWorkload(programs, tests, seed, adaptive,
-                                    corpus);
+    core::PipelineConfig cfg = workload.config();
     cover::CoverageLedger ledger;
     cfg.coverageLedger = &ledger;
 

@@ -1,10 +1,13 @@
 /**
  * @file
  * The deterministic campaign workload shared by the scamv_worker and
- * scamv_merge binaries and bench_shard.
+ * scamv_merge binaries and bench_shard, and the one parser of the
+ * workload flags those binaries must agree on.
  */
 
 #include "shard/shard.hh"
+
+#include "support/textcodec.hh"
 
 namespace scamv::shard {
 
@@ -69,6 +72,45 @@ corpusWorkload(int programs, int tests, std::uint64_t seed,
     cfg.corpus = std::make_shared<
         const std::vector<front::CompiledProgram>>(std::move(loaded));
     return cfg;
+}
+
+core::PipelineConfig
+WorkloadFlags::config() const
+{
+    return corpus.empty() ? defaultWorkload(programs, tests, seed,
+                                            adaptive, line)
+                          : corpusWorkload(programs, tests, seed,
+                                           adaptive, corpus);
+}
+
+FlagParse
+parseWorkloadFlag(int argc, char **argv, int &i, WorkloadFlags &flags)
+{
+    const std::string_view arg = argv[i];
+    if (arg == "--adaptive") {
+        flags.adaptive = true;
+        return FlagParse::Taken;
+    }
+    if (arg == "--line") {
+        flags.line = true;
+        return FlagParse::Taken;
+    }
+    if (arg != "--programs" && arg != "--tests" && arg != "--seed" &&
+        arg != "--corpus")
+        return FlagParse::Other;
+    if (i + 1 >= argc)
+        return FlagParse::Bad;
+    const char *val = argv[++i];
+    bool ok = true;
+    if (arg == "--programs")
+        ok = text::parseNum(val, flags.programs) && flags.programs >= 1;
+    else if (arg == "--tests")
+        ok = text::parseNum(val, flags.tests) && flags.tests >= 1;
+    else if (arg == "--seed")
+        ok = text::parseNum(val, flags.seed);
+    else
+        flags.corpus = val;
+    return ok ? FlagParse::Taken : FlagParse::Bad;
 }
 
 } // namespace scamv::shard

@@ -1,25 +1,50 @@
 #include "support/env.hh"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "support/logging.hh"
+#include "support/textcodec.hh"
 
 namespace scamv {
 
 namespace {
 
-/** @return the trimmed-length check: all of `s` consumed by strto*. */
-bool
-consumedWhole(const char *s, const char *end)
+template <class T>
+std::optional<T>
+envNum(const char *name)
 {
-    if (end == s)
-        return false;
-    while (*end == ' ' || *end == '\t')
-        ++end;
-    return *end == '\0';
+    const char *env = std::getenv(name);
+    if (!env)
+        return std::nullopt;
+    // Trailing blanks are tolerated (a quoted "4 " in a shell).
+    std::string_view val(env);
+    while (!val.empty() && (val.back() == ' ' || val.back() == '\t'))
+        val.remove_suffix(1);
+    T v{};
+    if (!text::parseNum(val, v) ||
+        !std::isfinite(static_cast<double>(v))) {
+        warn(std::string(name) + "='" + env +
+             "' is malformed or out of range; using the default");
+        return std::nullopt;
+    }
+    return v;
+}
+
+template <class T>
+std::optional<T>
+envNum(const char *name, T lo, T hi)
+{
+    const auto v = envNum<T>(name);
+    if (v && (*v < lo || *v > hi)) {
+        warn(std::string(name) + "=" + std::to_string(*v) +
+             " is outside [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]; using the default");
+        return std::nullopt;
+    }
+    return v;
 }
 
 } // namespace
@@ -27,75 +52,25 @@ consumedWhole(const char *s, const char *end)
 std::optional<double>
 envDouble(const char *name)
 {
-    const char *env = std::getenv(name);
-    if (!env)
-        return std::nullopt;
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(env, &end);
-    if (!consumedWhole(env, end)) {
-        warn(std::string(name) + "='" + env +
-             "' is not a number; using the default");
-        return std::nullopt;
-    }
-    if (errno == ERANGE || !std::isfinite(v)) {
-        warn(std::string(name) + "='" + env +
-             "' is out of range; using the default");
-        return std::nullopt;
-    }
-    return v;
+    return envNum<double>(name);
 }
 
 std::optional<double>
 envDouble(const char *name, double lo, double hi)
 {
-    const auto v = envDouble(name);
-    if (!v)
-        return std::nullopt;
-    if (*v < lo || *v > hi) {
-        warn(std::string(name) + "=" + std::to_string(*v) +
-             " is outside [" + std::to_string(lo) + ", " +
-             std::to_string(hi) + "]; using the default");
-        return std::nullopt;
-    }
-    return v;
+    return envNum(name, lo, hi);
 }
 
 std::optional<long>
 envLong(const char *name)
 {
-    const char *env = std::getenv(name);
-    if (!env)
-        return std::nullopt;
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(env, &end, 10);
-    if (!consumedWhole(env, end)) {
-        warn(std::string(name) + "='" + env +
-             "' is not an integer; using the default");
-        return std::nullopt;
-    }
-    if (errno == ERANGE) {
-        warn(std::string(name) + "='" + env +
-             "' is out of range; using the default");
-        return std::nullopt;
-    }
-    return v;
+    return envNum<long>(name);
 }
 
 std::optional<long>
 envLong(const char *name, long lo, long hi)
 {
-    const auto v = envLong(name);
-    if (!v)
-        return std::nullopt;
-    if (*v < lo || *v > hi) {
-        warn(std::string(name) + "=" + std::to_string(*v) +
-             " is outside [" + std::to_string(lo) + ", " +
-             std::to_string(hi) + "]; using the default");
-        return std::nullopt;
-    }
-    return v;
+    return envNum(name, lo, hi);
 }
 
 } // namespace scamv

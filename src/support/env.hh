@@ -5,11 +5,12 @@
  * `std::atof`-style parsing silently turns malformed values into 0,
  * which then masquerades as "fall back to the default" without any
  * indication that the user's setting was dropped.  These helpers
- * parse strictly — the whole value must be consumed (trailing
- * garbage like `SCAMV_THREADS=4x` is rejected, not truncated to 4)
- * and out-of-range magnitudes (strtol/strtod ERANGE saturation) are
- * rejected too — and warn once, naming the offending variable, so a
- * bad setting is an observable user error rather than a silent no-op.
+ * parse with the strict codec parser (support/textcodec.hh) — the
+ * whole value must be one in-range number, so `SCAMV_THREADS=4x`,
+ * " 4", "+4" and overflowing magnitudes are rejected, not truncated
+ * or saturated; only trailing blanks are tolerated — and warn,
+ * naming the offending variable, so a bad setting is an observable
+ * user error rather than a silent no-op.
  */
 
 #ifndef SCAMV_SUPPORT_ENV_HH

@@ -63,20 +63,15 @@ FaultPlan::maskAll()
 }
 
 FaultPlan
-FaultPlan::fromEnv()
+FaultPlan::of(double rate, std::string_view sites, const char *origin)
 {
     FaultPlan plan;
-    const auto rate = envDouble("SCAMV_FAULT_RATE", 0.0, 1.0);
-    if (!rate || *rate <= 0.0)
-        return plan; // disabled
-    plan.rate = *rate;
-
-    const char *spec = std::getenv("SCAMV_FAULT_PLAN");
-    if (!spec || !*spec) {
+    plan.rate = rate;
+    if (sites.empty()) {
         plan.mask = maskAll();
         return plan;
     }
-    std::string_view rest(spec);
+    std::string_view rest = sites;
     while (!rest.empty()) {
         const std::size_t split = rest.find_first_of(", \t");
         std::string_view token = rest.substr(0, split);
@@ -89,17 +84,28 @@ FaultPlan::fromEnv()
             plan.mask = maskAll();
         } else if (auto site = siteFromName(token)) {
             plan.mask |= 1u << static_cast<int>(*site);
-        } else {
-            warn("SCAMV_FAULT_PLAN: unknown fault site '" +
+        } else if (origin) {
+            warn(std::string(origin) + ": unknown fault site '" +
                  std::string(token) + "' ignored");
         }
     }
     if (plan.mask == 0) {
-        warn("SCAMV_FAULT_PLAN selected no valid site; "
-             "fault injection disabled");
+        if (origin)
+            warn(std::string(origin) + " selected no valid site; "
+                 "fault injection disabled");
         plan.rate = 0.0;
     }
     return plan;
+}
+
+FaultPlan
+FaultPlan::fromEnv()
+{
+    const auto rate = envDouble("SCAMV_FAULT_RATE", 0.0, 1.0);
+    if (!rate || *rate <= 0.0)
+        return {}; // disabled
+    const char *sites = std::getenv("SCAMV_FAULT_PLAN");
+    return of(*rate, sites ? sites : "", "SCAMV_FAULT_PLAN");
 }
 
 Injector::Injector(const FaultPlan &plan, std::uint64_t campaign_seed,

@@ -89,12 +89,20 @@ struct FaultPlan {
     static std::uint32_t maskAll();
 
     /**
+     * Plan of `rate` over the sites `sites` names (canonical names,
+     * comma/space separated, "all" for every site; empty selects
+     * every site).  Unknown names are skipped, with a warning when
+     * `origin` names where the list came from; a list selecting no
+     * site disables the plan.
+     */
+    static FaultPlan of(double rate, std::string_view sites,
+                        const char *origin = nullptr);
+
+    /**
      * Plan from the environment: `SCAMV_FAULT_RATE` sets the rate
-     * (values outside [0,1] are rejected with a warning);
-     * `SCAMV_FAULT_PLAN` selects sites by canonical name
-     * (comma/space separated, "all" for every site; unknown names
-     * warn and are skipped), defaulting to all sites.  Unset or zero
-     * rate yields a disabled plan.
+     * (values outside [0,1] are rejected with a warning) and
+     * `SCAMV_FAULT_PLAN` the sites (see `of`).  Unset or zero rate
+     * yields a disabled plan.
      */
     static FaultPlan fromEnv();
 };

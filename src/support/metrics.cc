@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 
 #include "support/logging.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::metrics {
 
@@ -240,14 +239,7 @@ namespace {
 
 thread_local Registry *tlsRegistry = nullptr;
 
-/** Shortest round-trippable rendering of a double. */
-std::string
-jsonDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
+using text::g17;
 
 } // namespace
 
@@ -297,7 +289,7 @@ toJson(const Snapshot &snap)
     i = 0;
     for (const auto &[name, v] : snap.gauges) {
         out += i++ ? ",\n    " : "\n    ";
-        out += "\"" + name + "\": " + jsonDouble(v);
+        out += "\"" + name + "\": " + g17(v);
     }
     out += snap.gauges.empty() ? "},\n" : "\n  },\n";
 
@@ -309,7 +301,7 @@ toJson(const Snapshot &snap)
         for (std::size_t k = 0; k < h.bounds.size(); ++k) {
             if (k)
                 out += ", ";
-            out += jsonDouble(h.bounds[k]);
+            out += g17(h.bounds[k]);
         }
         out += "], \"counts\": [";
         for (std::size_t k = 0; k < h.counts.size(); ++k) {
@@ -317,10 +309,10 @@ toJson(const Snapshot &snap)
                 out += ", ";
             out += std::to_string(h.counts[k]);
         }
-        out += "], \"sum\": " + jsonDouble(h.sum) +
+        out += "], \"sum\": " + g17(h.sum) +
                ", \"count\": " + std::to_string(h.count) +
-               ", \"p50\": " + jsonDouble(h.quantile(0.5)) +
-               ", \"p99\": " + jsonDouble(h.quantile(0.99)) + "}";
+               ", \"p50\": " + g17(h.quantile(0.5)) +
+               ", \"p99\": " + g17(h.quantile(0.99)) + "}";
     }
     out += snap.histograms.empty() ? "}\n" : "\n  }\n";
     out += "}\n";
@@ -330,11 +322,7 @@ toJson(const Snapshot &snap)
 bool
 writeJson(const Snapshot &snap, const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << toJson(snap);
-    return static_cast<bool>(out);
+    return text::writeFile(path, toJson(snap));
 }
 
 TextTable

@@ -3,6 +3,7 @@
 #include "support/faults.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::qcache {
 
@@ -149,7 +150,7 @@ CachedEnumerator::CachedEnumerator(expr::ExprContext &ctx_,
     chainSalt = mixKey(kChainSalt,
                        static_cast<std::uint64_t>(blockBits));
     for (Expr v : blockVars)
-        chainSalt = mixKey(chainSalt, fnv1a(form.toCanon.at(v->name)));
+        chainSalt = mixKey(chainSalt, text::fnv1a(form.toCanon.at(v->name)));
 }
 
 Key

@@ -24,17 +24,6 @@ mixKey(std::uint64_t a, std::uint64_t b)
                            (a >> 2)));
 }
 
-std::uint64_t
-fnv1a(std::string_view s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace {
 
 /** Hash-lane seeds: semantic key lanes, shape pass, fingerprint. */

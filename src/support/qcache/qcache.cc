@@ -1,7 +1,6 @@
 #include "support/qcache/qcache.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <utility>
@@ -10,12 +9,11 @@
 #include "support/env.hh"
 #include "support/faults.hh"
 #include "support/logging.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::qcache {
 
 namespace {
-
-constexpr const char *kFileHeader = "scamv-qcache-v1";
 
 /**
  * Record grammar (one line per entry, space-separated fields):
@@ -37,86 +35,6 @@ constexpr const char *kFileHeader = "scamv-qcache-v1";
  * the delimiters never collide; an entry whose names do collide is
  * simply not persisted (kept in memory only).
  */
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "%llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-g17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-bool
-parseHex(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 16)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        int d;
-        if (c >= '0' && c <= '9')
-            d = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            d = c - 'a' + 10;
-        else
-            return false;
-        v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseDec(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    if (s.empty() || s.size() >= 63)
-        return false;
-    char buf[64];
-    std::copy(s.begin(), s.end(), buf);
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + s.size();
-}
-
-std::vector<std::string_view>
-split(std::string_view s, char sep)
-{
-    std::vector<std::string_view> out;
-    while (true) {
-        const std::size_t pos = s.find(sep);
-        if (pos == std::string_view::npos) {
-            out.push_back(s);
-            return out;
-        }
-        out.push_back(s.substr(0, pos));
-        s.remove_prefix(pos + 1);
-    }
-}
 
 /** @return true iff `name` is safe for the record grammar above. */
 bool
@@ -152,7 +70,7 @@ encodePayload(const Entry &e)
     for (const auto &name : sortedKeys(e.model.bvVars)) {
         if (!nameOk(name))
             return "";
-        push("v!" + name + ":" + hex64(e.model.bvVars.at(name)));
+        push("v!" + name + ":" + text::hex(e.model.bvVars.at(name)));
     }
     for (const auto &name : sortedKeys(e.model.boolVars)) {
         if (!nameOk(name))
@@ -165,8 +83,8 @@ encodePayload(const Entry &e)
             return "";
         const auto &cells = e.model.mems.at(name).entries();
         for (const auto &addr : sortedKeys(cells))
-            push("M!" + name + "@" + hex64(addr) + ":" +
-                 hex64(cells.at(addr)));
+            push("M!" + name + "@" + text::hex(addr) + ":" +
+                 text::hex(cells.at(addr)));
     }
     out += '#';
     for (const auto &[name, v] : e.delta.counters) {
@@ -177,7 +95,7 @@ encodePayload(const Entry &e)
     for (const auto &[name, v] : e.delta.gauges) {
         if (!nameOk(name))
             return "";
-        push("g!" + name + ":" + g17(v));
+        push("g!" + name + ":" + text::g17(v));
     }
     for (const auto &[name, h] : e.delta.histograms) {
         if (!nameOk(name))
@@ -186,7 +104,7 @@ encodePayload(const Entry &e)
         for (std::size_t i = 0; i < h.bounds.size(); ++i) {
             if (i)
                 tok += '|';
-            tok += g17(h.bounds[i]);
+            tok += text::g17(h.bounds[i]);
         }
         tok += '~';
         for (std::size_t i = 0; i < h.counts.size(); ++i) {
@@ -194,7 +112,7 @@ encodePayload(const Entry &e)
                 tok += '|';
             tok += std::to_string(h.counts[i]);
         }
-        tok += '~' + g17(h.sum) + '~' + std::to_string(h.count);
+        tok += '~' + text::g17(h.sum) + '~' + std::to_string(h.count);
         push(tok);
     }
     return out;
@@ -214,7 +132,7 @@ decodeModelToken(std::string_view token, expr::Assignment &model)
     std::string_view name = body.substr(0, colon);
     if (tag == 'v') {
         std::uint64_t v;
-        if (!parseHex(value, v))
+        if (!text::parseNum(value, v, 16))
             return false;
         model.bvVars[std::string(name)] = v;
         return true;
@@ -230,8 +148,8 @@ decodeModelToken(std::string_view token, expr::Assignment &model)
         if (at == std::string_view::npos || at == 0)
             return false;
         std::uint64_t addr, v;
-        if (!parseHex(name.substr(at + 1), addr) ||
-            !parseHex(value, v))
+        if (!text::parseNum(name.substr(at + 1), addr, 16) ||
+            !text::parseNum(value, v, 16))
             return false;
         model.mems[std::string(name.substr(0, at))].storeWord(addr, v);
         return true;
@@ -253,39 +171,39 @@ decodeDeltaToken(std::string_view token, metrics::Snapshot &delta)
     std::string_view value = body.substr(colon + 1);
     if (tag == 'c') {
         std::uint64_t v;
-        if (!parseDec(value, v))
+        if (!text::parseNum(value, v))
             return false;
         delta.counters[name] = v;
         return true;
     }
     if (tag == 'g') {
         double v;
-        if (!parseDouble(value, v))
+        if (!text::parseNum(value, v))
             return false;
         delta.gauges[name] = v;
         return true;
     }
     if (tag == 'h') {
-        const auto parts = split(value, '~');
+        const auto parts = text::split(value, '~');
         if (parts.size() != 4)
             return false;
         metrics::HistogramData h;
         if (!parts[0].empty()) {
-            for (std::string_view b : split(parts[0], '|')) {
+            for (std::string_view b : text::split(parts[0], '|')) {
                 double v;
-                if (!parseDouble(b, v))
+                if (!text::parseNum(b, v))
                     return false;
                 h.bounds.push_back(v);
             }
         }
-        for (std::string_view c : split(parts[1], '|')) {
+        for (std::string_view c : text::split(parts[1], '|')) {
             std::uint64_t v;
-            if (!parseDec(c, v))
+            if (!text::parseNum(c, v))
                 return false;
             h.counts.push_back(v);
         }
-        if (!parseDouble(parts[2], h.sum) ||
-            !parseDec(parts[3], h.count))
+        if (!text::parseNum(parts[2], h.sum) ||
+            !text::parseNum(parts[3], h.count))
             return false;
         // Malformed shapes would panic inside Registry::merge later;
         // reject them here so a corrupt record costs one drop, not
@@ -307,36 +225,43 @@ encodeRecord(const Key &key, const Entry &e)
     const std::string payload = encodePayload(e);
     if (payload.empty())
         return ""; // unsafe names: keep the entry in memory only
-    std::string line = hex64(key.hi) + " " + hex64(key.lo) + " " +
-                       hex64(e.fingerprint) + " " +
-                       (e.sat ? "S" : "U") + " " +
-                       (e.pairDead ? "D" : "-") + " " + payload;
-    line += " " + hex64(fnv1a(line));
-    return line;
+    return text::withChecksum(
+        text::hex(key.hi) + " " + text::hex(key.lo) + " " +
+            text::hex(e.fingerprint) + " " + (e.sat ? "S" : "U") + " " +
+            (e.pairDead ? "D" : "-") + " " + payload,
+        text::SumWidth::Minimal);
+}
+
+/**
+ * The cheap framing check every record passes before its payload is
+ * decoded: checksum, six non-empty fields before it, hex key.
+ * @return those six fields, or nullopt.
+ */
+std::optional<std::vector<std::string_view>>
+frameRecord(std::string_view line, Key &key)
+{
+    const auto prefix = text::checkLine(line, text::SumWidth::Minimal);
+    if (!prefix)
+        return std::nullopt;
+    std::vector<std::string_view> fields = text::split(*prefix);
+    if (fields.size() != 6 || !text::parseNum(fields[0], key.hi, 16) ||
+        !text::parseNum(fields[1], key.lo, 16))
+        return std::nullopt;
+    for (std::string_view f : fields)
+        if (f.empty())
+            return std::nullopt;
+    return fields;
 }
 
 std::optional<std::pair<Key, Entry>>
-decodeRecord(const std::string &line)
+decodeRecord(std::string_view line)
 {
-    const auto fields = split(line, ' ');
-    if (fields.size() != 7)
-        return std::nullopt;
-    for (const auto &f : fields)
-        if (f.empty())
-            return std::nullopt;
-    // Checksum covers everything before the final space.
-    const std::size_t prefix_len =
-        line.size() - fields.back().size() - 1;
-    std::uint64_t checksum;
-    if (!parseHex(fields[6], checksum) ||
-        checksum != fnv1a(std::string_view(line).substr(0, prefix_len)))
-        return std::nullopt;
-
     Key key;
+    const auto framed = frameRecord(line, key);
     Entry e;
-    if (!parseHex(fields[0], key.hi) || !parseHex(fields[1], key.lo) ||
-        !parseHex(fields[2], e.fingerprint))
+    if (!framed || !text::parseNum((*framed)[2], e.fingerprint, 16))
         return std::nullopt;
+    const std::vector<std::string_view> &fields = *framed;
     if (fields[3] == "S")
         e.sat = true;
     else if (fields[3] == "U")
@@ -355,11 +280,11 @@ decodeRecord(const std::string &line)
     std::string_view model_part = payload.substr(0, hash_pos);
     std::string_view delta_part = payload.substr(hash_pos + 1);
     if (!model_part.empty())
-        for (std::string_view token : split(model_part, ','))
+        for (std::string_view token : text::split(model_part, ','))
             if (!decodeModelToken(token, e.model))
                 return std::nullopt;
     if (!delta_part.empty())
-        for (std::string_view token : split(delta_part, ','))
+        for (std::string_view token : text::split(delta_part, ','))
             if (!decodeDeltaToken(token, e.delta))
                 return std::nullopt;
     if (!e.sat && !e.model.bvVars.empty())
@@ -389,6 +314,15 @@ entryBytes(const Entry &e)
 
 } // namespace
 
+std::optional<Key>
+recordKey(std::string_view line)
+{
+    Key key;
+    if (!frameRecord(line, key))
+        return std::nullopt;
+    return key;
+}
+
 QueryCache::QueryCache(CacheConfig config) : cfg(std::move(config))
 {
     if (!cfg.filePath.empty())
@@ -405,47 +339,46 @@ void
 QueryCache::loadFile()
 {
     metrics::Registry &g = metrics::Registry::global();
-    bool fresh = true;
-    {
-        std::ifstream in(cfg.filePath);
-        std::string line;
-        if (in && std::getline(in, line)) {
-            if (line != kFileHeader) {
-                warn("qcache: " + cfg.filePath +
-                     " is not a " + kFileHeader +
-                     " file; persistence disabled");
-                return;
-            }
-            fresh = false;
-            std::uint64_t loaded = 0;
-            while (std::getline(in, line)) {
-                if (line.empty())
-                    continue;
-                // Injected record corruption: the persisted bytes
-                // are damaged before they are parsed, so the record
-                // is dropped exactly as a genuinely corrupt one.
-                const bool corrupt =
-                    faults::maybeInject(faults::Site::QcacheCorrupt);
-                std::optional<std::pair<Key, Entry>> rec;
-                if (!corrupt)
-                    rec = decodeRecord(line);
-                if (!rec) {
-                    ++dropped_;
-                    g.counter("qcache.load_dropped").inc();
-                    continue;
-                }
-                if (index.count(rec->first))
-                    continue; // keep-first on duplicate keys
-                Slot slot{rec->first, std::move(rec->second), 0};
-                slot.bytes = entryBytes(slot.entry);
-                lru.push_front(std::move(slot));
-                index.emplace(lru.front().key, lru.begin());
-                bytes_ += lru.front().bytes;
-                ++loaded;
-                evictToFit();
-            }
-            g.counter("qcache.loaded").add(loaded);
+    // Streamed line by line: a campaign's workers load checkpoint
+    // copies concurrently, so holding whole files would add their
+    // size to peak memory.
+    std::ifstream in(cfg.filePath);
+    std::string line;
+    const bool fresh = !(in && std::getline(in, line));
+    if (!fresh) {
+        if (line != kFileHeader) {
+            warn("qcache: " + cfg.filePath + " is not a " +
+                 kFileHeader + " file; persistence disabled");
+            return;
         }
+        std::uint64_t loaded = 0;
+        while (std::getline(in, line)) {
+            if (line.empty())
+                continue;
+            // Injected record corruption: the persisted bytes are
+            // damaged before they are parsed, so the record is
+            // dropped exactly as a genuinely corrupt one.
+            const bool corrupt =
+                faults::maybeInject(faults::Site::QcacheCorrupt);
+            std::optional<std::pair<Key, Entry>> rec;
+            if (!corrupt)
+                rec = decodeRecord(line);
+            if (!rec) {
+                ++dropped_;
+                g.counter("qcache.load_dropped").inc();
+                continue;
+            }
+            if (index.count(rec->first))
+                continue; // keep-first on duplicate keys
+            Slot slot{rec->first, std::move(rec->second), 0};
+            slot.bytes = entryBytes(slot.entry);
+            lru.push_front(std::move(slot));
+            index.emplace(lru.front().key, lru.begin());
+            bytes_ += lru.front().bytes;
+            ++loaded;
+            evictToFit();
+        }
+        g.counter("qcache.loaded").add(loaded);
     }
     append_.open(cfg.filePath, std::ios::app);
     if (!append_) {

@@ -38,6 +38,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "expr/eval.hh"
@@ -45,6 +46,9 @@
 #include "support/qcache/canon.hh"
 
 namespace scamv::qcache {
+
+/** First line of every checkpoint file. */
+inline constexpr const char *kFileHeader = "scamv-qcache-v1";
 
 /** One cached query result. */
 struct Entry {
@@ -70,6 +74,15 @@ struct CacheConfig {
     /** Persistence/checkpoint file; empty = in-memory only. */
     std::string filePath;
 };
+
+/**
+ * The cheap framing check of one checkpoint record line — checksum,
+ * field count, hex key — short of decoding its payload.  A record
+ * that fails it is dropped by every reader; one that passes it may
+ * still fail the full decode at load.  @return the record's key, or
+ * nullopt when the framing is damaged.
+ */
+std::optional<Key> recordKey(std::string_view line);
 
 /** The cache proper.  All public members are thread-safe. */
 class QueryCache

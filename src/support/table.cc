@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "support/textcodec.hh"
 
 namespace scamv {
 
@@ -96,11 +97,7 @@ TextTable::renderCsv() const
 bool
 TextTable::writeCsv(const std::string &path) const
 {
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    f << renderCsv();
-    return static_cast<bool>(f);
+    return text::writeFile(path, renderCsv());
 }
 
 std::string

@@ -2,10 +2,12 @@
  * @file
  * "scamv-rpc-v1" frame codec and submission-spec marshalling.
  *
- * A frame payload is one line in the shard-artifact discipline
- * (shard/artifact.cc): space-separated fields, percent-escaped so
- * fields with spaces or control bytes survive, ending in an fnv1a
- * checksum over the line's prefix.  On the wire each payload is
+ * A frame payload is one checksummed line of the shared text codec
+ * (support/textcodec.hh), the one the shard artifact uses too:
+ * space-separated fields, percent-escaped so fields with spaces or
+ * control bytes survive, ending in a 16-digit fnv1a checksum over
+ * the line's prefix.  Numeric spec fields parse strictly (no sign on
+ * the seed, no whitespace, no overflow).  On the wire each payload is
  * preceded by an 8-hex-digit byte length plus '\n', so a reader can
  * frame the stream without scanning for terminators and a truncated
  * connection is detected as NeedMore, never a short parse.  Damage
@@ -15,190 +17,41 @@
 
 #include "svc/svc.hh"
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "shard/shard.hh"
-#include "support/qcache/canon.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::svc {
-namespace {
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
-
-/** Percent-escape a field: no spaces, no newlines, never empty. */
-std::string
-esc(std::string_view s)
-{
-    if (s.empty())
-        return "-";
-    if (s == "-")
-        return "%2D";
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        if (c == '%' || c == ' ' || u < 0x20) {
-            char buf[4];
-            std::snprintf(buf, sizeof buf, "%%%02X", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-int
-hexNibble(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
-}
-
-std::optional<std::string>
-unesc(std::string_view s)
-{
-    if (s == "-")
-        return std::string();
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out += s[i];
-            continue;
-        }
-        if (i + 2 >= s.size())
-            return std::nullopt;
-        const int hi = hexNibble(s[i + 1]);
-        const int lo = hexNibble(s[i + 2]);
-        if (hi < 0 || lo < 0)
-            return std::nullopt;
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-    }
-    return out;
-}
-
-bool
-parseU64(std::string_view s, std::uint64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoull(buf, &end, 10);
-    return end == buf + s.size();
-}
-
-bool
-parseI64(std::string_view s, std::int64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    char buf[24];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtoll(buf, &end, 10);
-    return end == buf + s.size();
-}
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    if (s.empty() || s.size() > 40)
-        return false;
-    char buf[48];
-    s.copy(buf, s.size());
-    buf[s.size()] = '\0';
-    char *end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + s.size();
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 std::string
 encodePayload(const Frame &frame)
 {
-    std::string line = esc(frame.type);
+    std::string line = text::esc(frame.type);
     for (const std::string &arg : frame.args) {
         line += ' ';
-        line += esc(arg);
+        line += text::esc(arg);
     }
-    line += ' ';
-    line += hex16(qcache::fnv1a(
-        std::string_view(line.data(), line.size() - 1)));
-    return line;
+    return text::withChecksum(line);
 }
 
 std::optional<Frame>
 decodePayload(std::string_view payload)
 {
-    // Validate and strip the trailing checksum field.
-    const std::size_t space = payload.rfind(' ');
-    if (space == std::string_view::npos ||
-        payload.size() - space - 1 != 16)
+    const std::optional<std::string_view> prefix =
+        text::checkLine(payload);
+    if (!prefix)
         return std::nullopt;
-    std::uint64_t sum = 0;
-    for (char c : payload.substr(space + 1)) {
-        const int nib = hexNibble(c);
-        if (nib < 0)
-            return std::nullopt;
-        sum = sum * 16 + static_cast<std::uint64_t>(nib);
-    }
-    const std::string_view prefix = payload.substr(0, space);
-    if (sum != qcache::fnv1a(prefix))
-        return std::nullopt;
-
     Frame frame;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= prefix.size()) {
-        const std::size_t next = prefix.find(' ', pos);
-        const std::string_view field =
-            next == std::string_view::npos
-                ? prefix.substr(pos)
-                : prefix.substr(pos, next - pos);
-        const std::optional<std::string> plain = unesc(field);
+    for (std::string_view field : text::split(*prefix)) {
+        std::optional<std::string> plain = text::unesc(field);
         if (!plain)
             return std::nullopt;
-        if (first) {
-            if (plain->empty())
-                return std::nullopt;
-            frame.type = *plain;
-            first = false;
-        } else {
-            frame.args.push_back(*plain);
-        }
-        if (next == std::string_view::npos)
-            break;
-        pos = next + 1;
+        frame.args.push_back(std::move(*plain));
     }
-    if (first)
+    frame.type = std::move(frame.args.front());
+    frame.args.erase(frame.args.begin());
+    if (frame.type.empty())
         return std::nullopt;
     return frame;
 }
@@ -218,13 +71,8 @@ decodeFrame(std::string_view buf, Frame &out, std::size_t &consumed)
     if (buf.size() < 9)
         return FrameStatus::NeedMore;
     std::uint64_t len = 0;
-    for (int i = 0; i < 8; ++i) {
-        const int nib = hexNibble(buf[static_cast<std::size_t>(i)]);
-        if (nib < 0)
-            return FrameStatus::Bad;
-        len = len * 16 + static_cast<std::uint64_t>(nib);
-    }
-    if (buf[8] != '\n' || len > kMaxFrameBytes)
+    if (!text::parseNum(buf.substr(0, 8), len, 16) || buf[8] != '\n' ||
+        len > kMaxFrameBytes)
         return FrameStatus::Bad;
     if (buf.size() < 9 + len)
         return FrameStatus::NeedMore;
@@ -249,7 +97,7 @@ specToArgs(const SubmissionSpec &spec)
     args.push_back("priority=" + std::to_string(spec.priority));
     args.push_back("shards=" + std::to_string(spec.shards));
     args.push_back(std::string("fault_rate=") +
-                   fmtDouble(spec.faultRate));
+                   text::g17(spec.faultRate));
     args.push_back("fault_plan=" + (spec.faultSites.empty()
                                         ? std::string("-")
                                         : spec.faultSites));
@@ -276,46 +124,43 @@ specFromArgs(const std::vector<std::string> &args, std::string &error)
         const std::string_view key(arg.data(), eq);
         const std::string_view val(arg.data() + eq + 1,
                                    arg.size() - eq - 1);
-        std::int64_t i = 0;
-        std::uint64_t u = 0;
-        double d = 0.0;
-        if (key == "programs" && parseI64(val, i) && i >= 1 &&
-            i <= 100000) {
-            spec.programs = static_cast<int>(i);
-        } else if (key == "tests" && parseI64(val, i) && i >= 1 &&
-                   i <= 10000) {
-            spec.tests = static_cast<int>(i);
-        } else if (key == "seed" && parseU64(val, u)) {
-            spec.seed = u;
-        } else if (key == "adaptive" && parseI64(val, i) &&
-                   (i == 0 || i == 1)) {
-            spec.adaptive = i != 0;
-        } else if (key == "line" && parseI64(val, i) &&
-                   (i == 0 || i == 1)) {
-            spec.line = i != 0;
-        } else if (key == "priority" && parseI64(val, i) &&
-                   i >= -100 && i <= 100) {
-            spec.priority = static_cast<int>(i);
-        } else if (key == "shards" && parseI64(val, i) && i >= 0 &&
-                   i <= 64) {
-            spec.shards = static_cast<int>(i);
-        } else if (key == "fault_rate" && parseDouble(val, d) &&
-                   d >= 0.0 && d <= 1.0) {
-            spec.faultRate = d;
-        } else if (key == "fault_plan") {
+        // Range-checked fields; a bool field is the range 0..1.
+        const auto in = [val](auto &field, auto lo, auto hi) {
+            const auto v = text::parseInRange(val, lo, hi);
+            if (v)
+                field = static_cast<std::decay_t<decltype(field)>>(*v);
+            return v.has_value();
+        };
+        bool ok = true;
+        if (key == "programs")
+            ok = in(spec.programs, 1, 100000);
+        else if (key == "tests")
+            ok = in(spec.tests, 1, 10000);
+        else if (key == "seed")
+            ok = text::parseNum(val, spec.seed);
+        else if (key == "adaptive")
+            ok = in(spec.adaptive, 0, 1);
+        else if (key == "line")
+            ok = in(spec.line, 0, 1);
+        else if (key == "priority")
+            ok = in(spec.priority, -100, 100);
+        else if (key == "shards")
+            ok = in(spec.shards, 0, 64);
+        else if (key == "fault_rate")
+            ok = in(spec.faultRate, 0.0, 1.0);
+        else if (key == "fault_plan")
             spec.faultSites = val == "-" ? "" : std::string(val);
-        } else if (key == "retry_max" && parseI64(val, i) &&
-                   i >= -1 && i <= 64) {
-            spec.retryMax = static_cast<int>(i);
-        } else if (key == "triage" && parseI64(val, i) &&
-                   (i == 0 || i == 1)) {
-            spec.triage = i != 0;
-        } else if (key == "minimize" && parseI64(val, i) &&
-                   (i == 0 || i == 1)) {
-            spec.minimize = i != 0;
-        } else if (key == "corpus") {
+        else if (key == "retry_max")
+            ok = in(spec.retryMax, -1, 64);
+        else if (key == "triage")
+            ok = in(spec.triage, 0, 1);
+        else if (key == "minimize")
+            ok = in(spec.minimize, 0, 1);
+        else if (key == "corpus")
             spec.corpusDir = val == "-" ? "" : std::string(val);
-        } else {
+        else
+            ok = false;
+        if (!ok) {
             error = "invalid submission field '" + arg + "'";
             return std::nullopt;
         }
@@ -326,31 +171,9 @@ specFromArgs(const std::vector<std::string> &args, std::string &error)
 faults::FaultPlan
 faultPlanFor(const SubmissionSpec &spec)
 {
-    faults::FaultPlan plan;
     if (spec.faultRate <= 0.0)
-        return plan;
-    plan.rate = spec.faultRate;
-    if (spec.faultSites.empty()) {
-        plan.mask = faults::FaultPlan::maskAll();
-        return plan;
-    }
-    std::string_view rest(spec.faultSites);
-    while (!rest.empty()) {
-        const std::size_t split = rest.find_first_of(", \t");
-        const std::string_view token = rest.substr(0, split);
-        rest = split == std::string_view::npos
-                   ? std::string_view()
-                   : rest.substr(split + 1);
-        if (token.empty())
-            continue;
-        if (token == "all")
-            plan.mask = faults::FaultPlan::maskAll();
-        else if (auto site = faults::siteFromName(token))
-            plan.mask |= 1u << static_cast<int>(*site);
-    }
-    if (plan.mask == 0)
-        plan.rate = 0.0;
-    return plan;
+        return {};
+    return faults::FaultPlan::of(spec.faultRate, spec.faultSites);
 }
 
 core::PipelineConfig

@@ -6,24 +6,26 @@
  *          [--queue-max N]
  *
  * Flags override the SCAMV_SVC_* environment (see OPERATIONS.md for
- * the full tuning table and runbook).  SIGTERM/SIGINT trigger a
- * graceful drain: stop accepting, finish every in-flight campaign,
- * fold its checkpoint delta, then exit 0.  A client DRAIN request
- * does the same.  Campaign knobs that are env-resolved per process
- * (SCAMV_QCACHE_MB for the shared checkpoint, SCAMV_RETRY_MAX, ...)
- * are read from the daemon's environment; export-path variables
- * (SCAMV_METRICS, SCAMV_COVERAGE_FILE) should stay unset — each
- * campaign writes its own artifact set under its campaign directory.
+ * the full tuning table and runbook) and obey the same bounds:
+ * --workers 1..64, --shards 1..16, --queue-max 1..4096, strict
+ * decimal; anything else exits 2 before the fleet starts.
+ * SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish
+ * every in-flight campaign, fold its checkpoint delta, then exit 0.
+ * A client DRAIN request does the same.  Campaign knobs that are
+ * env-resolved per process (SCAMV_QCACHE_MB for the shared
+ * checkpoint, SCAMV_RETRY_MAX, ...) are read from the daemon's
+ * environment; export-path variables (SCAMV_METRICS,
+ * SCAMV_COVERAGE_FILE) should stay unset — each campaign writes its
+ * own artifact set under its campaign directory.
  */
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "support/logging.hh"
+#include "support/textcodec.hh"
 #include "svc/svc.hh"
 
 namespace {
@@ -39,13 +41,15 @@ onSignal(int)
 int
 usage(const char *argv0)
 {
+    using scamv::svc::ServiceConfig;
     std::fprintf(stderr,
                  "usage: %s [--socket PATH] [--dir DIR]\n"
-                 "          [--workers N] [--shards N] "
-                 "[--queue-max N]\n"
+                 "          [--workers 1..%d] [--shards 1..%d] "
+                 "[--queue-max 1..%d]\n"
                  "Defaults: SCAMV_SVC_* from the environment "
                  "(OPERATIONS.md).\n",
-                 argv0);
+                 argv0, ServiceConfig::kMaxWorkers,
+                 ServiceConfig::kMaxShards, ServiceConfig::kMaxQueue);
     return 2;
 }
 
@@ -66,20 +70,20 @@ main(int argc, char **argv)
         } else if (arg == "--dir" && val) {
             cfg.dir = val;
             ++i;
-        } else if (arg == "--workers" && val) {
-            cfg.workers = std::atoi(val);
+        } else if (arg == "--workers" && val &&
+                   text::parseNum(val, cfg.workers)) {
             ++i;
-        } else if (arg == "--shards" && val) {
-            cfg.shards = std::atoi(val);
+        } else if (arg == "--shards" && val &&
+                   text::parseNum(val, cfg.shards)) {
             ++i;
-        } else if (arg == "--queue-max" && val) {
-            cfg.queueMax = std::atoi(val);
+        } else if (arg == "--queue-max" && val &&
+                   text::parseNum(val, cfg.queueMax)) {
             ++i;
         } else {
             return usage(argv[0]);
         }
     }
-    if (cfg.workers < 1 || cfg.shards < 1 || cfg.queueMax < 1)
+    if (!cfg.inBounds())
         return usage(argv[0]);
 
     std::signal(SIGTERM, onSignal);

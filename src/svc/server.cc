@@ -27,6 +27,7 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::svc {
 
@@ -198,12 +199,8 @@ handleConnection(int fd, Service &service, std::atomic<bool> &stop)
                 break;
         } else if (req->type == "STATUS" &&
                    req->args.size() == 1) {
-            std::uint64_t id = 0;
-            try {
-                id = std::stoull(req->args[0]);
-            } catch (...) {
-                id = 0;
-            }
+            std::uint64_t id = 0; // 0: never a valid id
+            text::parseNum(req->args[0], id);
             const std::optional<SubmissionStatus> st =
                 service.status(id);
             if (!st) {
@@ -215,12 +212,8 @@ handleConnection(int fd, Service &service, std::atomic<bool> &stop)
             if (!sendFrame(fd, okFrame(statusArgs(id, *st))))
                 break;
         } else if (req->type == "WATCH" && req->args.size() == 1) {
-            std::uint64_t id = 0;
-            try {
-                id = std::stoull(req->args[0]);
-            } catch (...) {
-                id = 0;
-            }
+            std::uint64_t id = 0; // 0: never a valid id
+            text::parseNum(req->args[0], id);
             if (!streamWatch(fd, service, id, stop))
                 break;
         } else if (req->type == "DRAIN") {

@@ -61,12 +61,20 @@ ServiceConfig::fromEnv()
         sock && *sock)
         cfg.socketPath = sock;
     cfg.workers = static_cast<int>(
-        envLong("SCAMV_SVC_WORKERS", 1, 64).value_or(2));
+        envLong("SCAMV_SVC_WORKERS", 1, kMaxWorkers).value_or(2));
     cfg.shards = static_cast<int>(
-        envLong("SCAMV_SVC_SHARDS", 1, 16).value_or(2));
+        envLong("SCAMV_SVC_SHARDS", 1, kMaxShards).value_or(2));
     cfg.queueMax = static_cast<int>(
-        envLong("SCAMV_SVC_QUEUE_MAX", 1, 4096).value_or(64));
+        envLong("SCAMV_SVC_QUEUE_MAX", 1, kMaxQueue).value_or(64));
     return cfg;
+}
+
+bool
+ServiceConfig::inBounds() const
+{
+    return workers >= 1 && workers <= kMaxWorkers && shards >= 1 &&
+           shards <= kMaxShards && queueMax >= 1 &&
+           queueMax <= kMaxQueue;
 }
 
 /** One accepted submission's full lifecycle state. */

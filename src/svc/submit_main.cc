@@ -14,6 +14,10 @@
  * [--fault-rate R] [--fault-plan SITES] [--retry-max N] [--triage]
  * [--minimize].
  *
+ * Numbers are strict decimal and range-checked by the same
+ * specFromArgs the daemon applies; a malformed flag exits 2 without
+ * contacting the daemon.
+ *
  * Output is line-oriented `key=value` pairs (submit prints `id=N`;
  * status/watch print the submission's state and counters), so shell
  * scripts and the CI svc-equivalence job can parse it with `cut`.
@@ -21,10 +25,13 @@
  * Done), 1 on a service-reported error, 2 on usage errors.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "svc/svc.hh"
 
@@ -98,6 +105,43 @@ runWatch(scamv::svc::Client &client, const std::string &id)
     }
 }
 
+/**
+ * The submit flags as specFromArgs fields ("--retry-max 1" ->
+ * "retry_max=1", a switch "--line" -> "line=1"), so the client
+ * validates with exactly the parser the daemon re-runs at accept.
+ * @return nullopt on a malformed flag or value.
+ */
+std::optional<scamv::svc::SubmissionSpec>
+parseSubmitFlags(int argc, char **argv, int &i, bool &watch)
+{
+    std::vector<std::string> fields;
+    for (; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--watch") {
+            watch = true;
+            continue;
+        }
+        if (arg.rfind("--", 0) != 0 ||
+            arg.find_first_of("=_") != std::string::npos)
+            return std::nullopt;
+        std::string key = arg.substr(2);
+        std::replace(key.begin(), key.end(), '-', '_');
+        if (key == "adaptive" || key == "line" || key == "triage" ||
+            key == "minimize")
+            fields.push_back(key + "=1");
+        else if (i + 1 < argc)
+            fields.push_back(key + "=" + argv[++i]);
+        else
+            return std::nullopt;
+    }
+    std::string err;
+    std::optional<scamv::svc::SubmissionSpec> spec =
+        scamv::svc::specFromArgs(fields, err);
+    if (!spec)
+        std::fprintf(stderr, "scamv-submit: %s\n", err.c_str());
+    return spec;
+}
+
 } // namespace
 
 int
@@ -117,6 +161,20 @@ main(int argc, char **argv)
     if (i >= argc || socket_path.empty())
         return usage(argv[0]);
     const std::string command = argv[i++];
+
+    // Every argument is checked before the daemon is contacted.
+    std::optional<SubmissionSpec> spec;
+    bool watch = false;
+    if (command == "submit") {
+        spec = parseSubmitFlags(argc, argv, i, watch);
+        if (!spec)
+            return usage(argv[0]);
+    } else if (command == "status" || command == "watch") {
+        if (i >= argc)
+            return usage(argv[0]);
+    } else if (command != "ping" && command != "drain") {
+        return usage(argv[0]);
+    }
 
     Client client;
     if (!client.connectTo(socket_path)) {
@@ -147,8 +205,6 @@ main(int argc, char **argv)
     }
 
     if (command == "status" || command == "watch") {
-        if (i >= argc)
-            return usage(argv[0]);
         const std::string id = argv[i];
         if (command == "watch")
             return runWatch(client, id);
@@ -165,58 +221,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (command != "submit")
-        return usage(argv[0]);
-
-    SubmissionSpec spec;
-    bool watch = false;
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *val = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--programs" && val) {
-            spec.programs = std::atoi(val);
-            ++i;
-        } else if (arg == "--tests" && val) {
-            spec.tests = std::atoi(val);
-            ++i;
-        } else if (arg == "--seed" && val) {
-            spec.seed = std::strtoull(val, nullptr, 10);
-            ++i;
-        } else if (arg == "--adaptive") {
-            spec.adaptive = true;
-        } else if (arg == "--line") {
-            spec.line = true;
-        } else if (arg == "--priority" && val) {
-            spec.priority = std::atoi(val);
-            ++i;
-        } else if (arg == "--shards" && val) {
-            spec.shards = std::atoi(val);
-            ++i;
-        } else if (arg == "--fault-rate" && val) {
-            spec.faultRate = std::atof(val);
-            ++i;
-        } else if (arg == "--fault-plan" && val) {
-            spec.faultSites = val;
-            ++i;
-        } else if (arg == "--retry-max" && val) {
-            spec.retryMax = std::atoi(val);
-            ++i;
-        } else if (arg == "--triage") {
-            spec.triage = true;
-        } else if (arg == "--minimize") {
-            spec.minimize = true;
-        } else if (arg == "--corpus" && val) {
-            spec.corpusDir = val;
-            ++i;
-        } else if (arg == "--watch") {
-            watch = true;
-        } else {
-            return usage(argv[0]);
-        }
-    }
-
     const std::optional<Frame> res =
-        client.call(Frame{"SUBMIT", specToArgs(spec)});
+        client.call(Frame{"SUBMIT", specToArgs(*spec)});
     if (!res || res->type != "OK" || res->args.empty()) {
         std::fprintf(stderr, "scamv-submit: %s\n",
                      res && !res->args.empty()

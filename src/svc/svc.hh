@@ -26,8 +26,8 @@
  * tests/test_svc.cc across {1,2} concurrent submissions x
  * {cold, warm} x fault-plan-all.
  *
- * Wire protocol ("scamv-rpc-v1"): length-prefixed text frames with
- * the shard-artifact codec discipline — space-separated
+ * Wire protocol ("scamv-rpc-v1"): length-prefixed text frames in the
+ * shared text codec (support/textcodec.hh) — space-separated
  * percent-escaped fields, a trailing fnv1a checksum per frame — so
  * a damaged or truncated frame is detected, never half-parsed.  See
  * OPERATIONS.md for the operator's view (env vars, lifecycle,
@@ -71,7 +71,7 @@ struct Frame {
 /**
  * Encode a frame payload: space-separated percent-escaped fields
  * (type first) ending in an fnv1a checksum field — one line, no
- * trailing newline, the shard-artifact line discipline.
+ * trailing newline (text::withChecksum).
  */
 std::string encodePayload(const Frame &frame);
 
@@ -149,7 +149,9 @@ std::vector<std::string> specToArgs(const SubmissionSpec &spec);
 
 /**
  * Parse SUBMIT frame arguments.  Strict: unknown keys, malformed
- * values and out-of-range settings are rejected.
+ * values (text::parseNum: no sign on the seed, no whitespace, no
+ * overflow) and out-of-range settings are rejected.  scamv-submit
+ * runs it on its flags too, before it connects.
  * @return nullopt with `error` set on rejection.
  */
 std::optional<SubmissionSpec>
@@ -230,12 +232,22 @@ struct ServiceConfig {
     /** Max queued-or-running submissions before accept rejects. */
     int queueMax = 64;
 
+    /** Upper bounds of workers / shards / queueMax (lower: 1), for
+     *  the SCAMV_SVC_* variables and the scamvd flags alike. */
+    static constexpr int kMaxWorkers = 64;
+    static constexpr int kMaxShards = 16;
+    static constexpr int kMaxQueue = 4096;
+
     /**
      * Config from SCAMV_SVC_DIR / SCAMV_SVC_SOCKET /
      * SCAMV_SVC_WORKERS / SCAMV_SVC_SHARDS / SCAMV_SVC_QUEUE_MAX
-     * (validated via support/env; unset keeps the defaults above).
+     * (validated via support/env; unset or out-of-bounds values keep
+     * the defaults above).
      */
     static ServiceConfig fromEnv();
+
+    /** @return true iff workers, shards and queueMax are in bounds. */
+    bool inBounds() const;
 };
 
 /** Accept verdict for one submission. */

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 
 #include "bir/cfg.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::triage {
 namespace {
@@ -149,22 +148,16 @@ AbsValue::hull() const
 std::string
 AbsValue::toString() const
 {
-    char buf[64];
     switch (kind) {
     case Kind::Top: return "T";
     case Kind::Set: {
         std::string out = "{";
-        for (std::size_t i = 0; i < elems.size(); ++i) {
-            std::snprintf(buf, sizeof buf, "%s%" PRIx64,
-                          i ? "," : "", elems[i]);
-            out += buf;
-        }
+        for (std::size_t i = 0; i < elems.size(); ++i)
+            out += (i ? "," : "") + text::hex(elems[i]);
         return out + "}";
     }
     case Kind::Interval:
-        std::snprintf(buf, sizeof buf, "[%" PRIx64 ",%" PRIx64 "]", lo,
-                      hi);
-        return buf;
+        return "[" + text::hex(lo) + "," + text::hex(hi) + "]";
     }
     return "T";
 }

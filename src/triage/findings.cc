@@ -1,50 +1,15 @@
 #include "triage/findings.hh"
 
 #include <bit>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "support/faults.hh"
 #include "support/metrics.hh"
+#include "support/textcodec.hh"
 
 namespace scamv::triage {
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 void
 emitInput(std::ostringstream &os, const harness::ProgramInput &in)
@@ -57,14 +22,15 @@ emitInput(std::ostringstream &os, const harness::ProgramInput &in)
         if (!first)
             os << ",";
         first = false;
-        os << "\"" << r << "\":\"" << hex(in.regs.regs[r]) << "\"";
+        os << "\"" << r << "\":\"0x" << text::hex(in.regs.regs[r])
+           << "\"";
     }
     os << "},\"mem\":[";
     for (std::size_t i = 0; i < in.mem.size(); ++i) {
         if (i)
             os << ",";
-        os << "[\"" << hex(in.mem[i].first) << "\",\""
-           << hex(in.mem[i].second) << "\"]";
+        os << "[\"0x" << text::hex(in.mem[i].first) << "\",\"0x"
+           << text::hex(in.mem[i].second) << "\"]";
     }
     os << "]}";
 }
@@ -148,9 +114,9 @@ findingsToJson(const std::vector<Finding> &findings)
     for (const auto &[signature, members] : clusters) {
         os << (first_cluster ? "\n" : ",\n");
         first_cluster = false;
-        os << "    {\n      \"signature\": \"" << jsonEscape(signature)
+        os << "    {\n      \"signature\": \"" << text::jsonEscape(signature)
            << "\",\n      \"mechanism\": \""
-           << jsonEscape(members.front()->mechanism)
+           << text::jsonEscape(members.front()->mechanism)
            << "\",\n      \"count\": " << members.size()
            << ",\n      \"findings\": [";
         bool first = true;
@@ -158,7 +124,7 @@ findingsToJson(const std::vector<Finding> &findings)
             os << (first ? "\n" : ",\n");
             first = false;
             os << "        {\"program_index\": " << f->progIndex
-               << ", \"program\": \"" << jsonEscape(f->program)
+               << ", \"program\": \"" << text::jsonEscape(f->program)
                << "\", \"minimized\": "
                << (f->minimized ? "true" : "false")
                << ", \"degraded\": " << (f->degraded ? "true" : "false")
@@ -166,7 +132,7 @@ findingsToJson(const std::vector<Finding> &findings)
                << ", \"instrs_after\": " << f->instrsAfter
                << ", \"state_bits_before\": " << f->stateBitsBefore
                << ", \"state_bits_after\": " << f->stateBitsAfter
-               << ",\n         \"core\": \"" << jsonEscape(f->core)
+               << ",\n         \"core\": \"" << text::jsonEscape(f->core)
                << "\",\n         \"s1\": ";
             emitInput(os, f->tc.s1);
             os << ", \"s2\": ";
@@ -183,11 +149,7 @@ bool
 writeFindings(const std::vector<Finding> &findings,
               const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    out << findingsToJson(findings);
-    return static_cast<bool>(out);
+    return text::writeFile(path, findingsToJson(findings));
 }
 
 } // namespace scamv::triage

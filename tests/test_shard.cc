@@ -215,9 +215,63 @@ TEST(ShardPlan, ParseSpec)
     EXPECT_EQ(ok->count, 4);
     EXPECT_TRUE(shard::parseShardSpec("0/1").has_value());
     for (const char *bad : {"", "/", "1", "1/", "/4", "4/4", "5/4",
-                            "-1/4", "a/4", "1/b", "1/0", "1/4/2"})
+                            "-1/4", "a/4", "1/b", "1/0", "1/4/2",
+                            "-0/4", "+1/4", " 1/4", "1/4 ",
+                            "0/99999999999"})
         EXPECT_FALSE(shard::parseShardSpec(bad).has_value())
             << "accepted \"" << bad << "\"";
+}
+
+/** Offer a whole command line to parseWorkloadFlag.  @return the
+ *  first result other than Taken, else Taken. */
+shard::FlagParse
+parseWorkloadLine(std::vector<std::string> args,
+                  shard::WorkloadFlags &flags)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 0; i < argc; ++i) {
+        const shard::FlagParse r =
+            shard::parseWorkloadFlag(argc, argv.data(), i, flags);
+        if (r != shard::FlagParse::Taken)
+            return r;
+    }
+    return shard::FlagParse::Taken;
+}
+
+TEST(ShardPlan, WorkloadFlagsAreStrictDecimal)
+{
+    shard::WorkloadFlags ok;
+    ASSERT_EQ(parseWorkloadLine({"--programs", "32", "--tests", "6",
+                                 "--seed", "010", "--line", "--adaptive",
+                                 "--corpus", "k"},
+                                ok),
+              shard::FlagParse::Taken);
+    EXPECT_EQ(ok.programs, 32);
+    EXPECT_EQ(ok.tests, 6);
+    EXPECT_EQ(ok.seed, 10u); // decimal, never octal
+    EXPECT_TRUE(ok.line && ok.adaptive);
+    EXPECT_EQ(ok.corpus, "k");
+    for (const std::vector<std::string> &bad :
+         std::vector<std::vector<std::string>>{
+             {"--programs", "5x"},
+             {"--programs", "0"},
+             {"--tests", "-1"},
+             {"--seed", "abc"},
+             {"--seed", "-1"},
+             {"--seed", "0x10"},
+             {"--seed", "18446744073709551616"},
+             {"--seed"},
+             {"--corpus"}}) {
+        shard::WorkloadFlags flags;
+        EXPECT_EQ(parseWorkloadLine(bad, flags), shard::FlagParse::Bad)
+            << bad[0] << ' ' << (bad.size() > 1 ? bad[1] : "");
+    }
+    shard::WorkloadFlags flags;
+    EXPECT_EQ(parseWorkloadLine({"--dir", "x"}, flags),
+              shard::FlagParse::Other);
 }
 
 TEST_F(ShardTest, SpecAndDirFromEnv)

@@ -250,10 +250,53 @@ TEST(SvcRpc, SpecArgsRoundTripAndValidation)
 
     for (const char *bad :
          {"programs=0", "programs=x", "nonsense=1", "tests=-3",
-          "fault_rate=2", "shards=65", "priority=101", "noequals"}) {
+          "fault_rate=2", "shards=65", "priority=101", "noequals",
+          // Frames come from outside the daemon: no sign on the
+          // seed, no saturation, no whitespace, no trailing bytes.
+          "seed=-1", "seed=99999999999999999999", "seed=+7", "seed= 3",
+          "programs=\t5", "programs=5x", "fault_rate=nan",
+          "fault_rate= 0.5"}) {
         EXPECT_FALSE(svc::specFromArgs({bad}, err).has_value())
             << bad;
     }
+}
+
+TEST(SvcConfig, FlagAndEnvBoundsAgree)
+{
+    // scamvd validates its flags with inBounds; fromEnv applies the
+    // same limits per variable.  Checked as a function: no daemon or
+    // fleet is ever started with an out-of-range count.
+    svc::ServiceConfig cfg;
+    EXPECT_TRUE(cfg.inBounds());
+    const auto with = [](int workers, int shards, int queue) {
+        svc::ServiceConfig c;
+        c.workers = workers;
+        c.shards = shards;
+        c.queueMax = queue;
+        return c.inBounds();
+    };
+    EXPECT_TRUE(with(1, 1, 1));
+    EXPECT_TRUE(with(64, 16, 4096));
+    EXPECT_FALSE(with(65, 2, 64));
+    EXPECT_FALSE(with(0, 2, 64));
+    EXPECT_FALSE(with(2, 17, 64));
+    EXPECT_FALSE(with(2, 0, 64));
+    EXPECT_FALSE(with(2, 2, 4097));
+    EXPECT_FALSE(with(2, 2, 0));
+
+    setenv("SCAMV_SVC_WORKERS", "65", 1);
+    setenv("SCAMV_SVC_SHARDS", "16", 1);
+    setenv("SCAMV_SVC_QUEUE_MAX", "4097", 1);
+    ::testing::internal::CaptureStderr();
+    const svc::ServiceConfig env = svc::ServiceConfig::fromEnv();
+    ::testing::internal::GetCapturedStderr();
+    unsetenv("SCAMV_SVC_WORKERS");
+    unsetenv("SCAMV_SVC_SHARDS");
+    unsetenv("SCAMV_SVC_QUEUE_MAX");
+    EXPECT_EQ(env.workers, svc::ServiceConfig{}.workers);
+    EXPECT_EQ(env.shards, 16);
+    EXPECT_EQ(env.queueMax, svc::ServiceConfig{}.queueMax);
+    EXPECT_TRUE(env.inBounds());
 }
 
 TEST(SvcRpc, FaultPlanForCoversSvcSites)
