@@ -6,7 +6,7 @@
  *
  *   qcache    the semantic SMT query cache pays for itself
  *   coverage  adaptive scheduling buys more classes per program
- *   hotpath   incremental solving + batched simulation beat oneshot
+ *   hotpath   incremental solving beats oneshot solving
  *   shard     N workers + merge beat one process, byte-identically
  *   triage    the abstract-cache pre-screen saves work, changes nothing
  *   front     the SC frontend compiles fast, deterministically
@@ -259,12 +259,10 @@ constexpr double kMinHotpathSpeedup = 1.5;
  * workload (same seed, programs, tests):
  *
  *  - baseline_oneshot: SolverMode::Oneshot (fresh solver per test,
- *    op-log replay) with batched simulation off (fresh hw::Core per
- *    repetition) — the quadratic-solving, allocation-heavy shape the
- *    hot-path engine replaces;
- *  - hotpath_incremental: SolverMode::Incremental with batched
- *    simulation on — one live solver per pair, one arena-backed core
- *    per experiment.
+ *    op-log replay) — the quadratic-solving shape the hot-path
+ *    engine replaces;
+ *  - hotpath_incremental: SolverMode::Incremental — one live solver
+ *    per path pair.
  *
  * Both must produce the same verdict counters and a byte-identical
  * ExperimentDb CSV.  Solver counters are not compared: oneshot
@@ -288,12 +286,10 @@ hotpathGate()
         double wallSeconds = 0.0;
         std::optional<std::string> csv;
     };
-    const auto run = [&](const std::string &leg, smt::SolverMode solver,
-                         bool sim_batch) {
+    const auto run = [&](const std::string &leg, smt::SolverMode solver) {
         core::ExperimentDb db;
         core::PipelineConfig cfg = wl;
         cfg.solverMode = solver;
-        cfg.platform.simBatch = sim_batch;
         cfg.database = &db;
         Leg out;
         Stopwatch watch;
@@ -308,8 +304,7 @@ hotpathGate()
             p50 = hist->second.quantile(0.5);
             p99 = hist->second.quantile(0.99);
         }
-        r.leg(leg, {{"sim_batch", sim_batch},
-                    {"wall_s", out.wallSeconds},
+        r.leg(leg, {{"wall_s", out.wallSeconds},
                     {"p50_program_s", p50},
                     {"p99_program_s", p99},
                     {"experiments", out.stats.experiments},
@@ -317,10 +312,8 @@ hotpathGate()
         r.gate(leg + ".p50_program_s", p50, Op::Le, p99);
         return out;
     };
-    const Leg a =
-        run("baseline_oneshot", smt::SolverMode::Oneshot, false);
-    const Leg b =
-        run("hotpath_incremental", smt::SolverMode::Incremental, true);
+    const Leg a = run("baseline_oneshot", smt::SolverMode::Oneshot);
+    const Leg b = run("hotpath_incremental", smt::SolverMode::Incremental);
 
     const bool deterministic =
         bench::sameBytes(a.csv, b.csv) &&

@@ -23,7 +23,6 @@
 #include "support/metrics.hh"
 #include "support/qcache/cached_solve.hh"
 #include "support/qcache/qcache.hh"
-#include "support/stopwatch.hh"
 #include "support/thread_pool.hh"
 #include "triage/minimize.hh"
 #include "triage/screen.hh"
@@ -262,9 +261,8 @@ clockModeFor(const PipelineConfig &cfg)
  */
 struct TaskState {
     TaskState(const PipelineConfig &c, const ProgramTask &tk,
-              metrics::Registry &r, ProgramOutcome &o, double t0,
-              const Stopwatch &w)
-        : cfg(c), task(tk), reg(r), out(o), taskT0(t0), watch(w),
+              metrics::Registry &r, ProgramOutcome &o, double t0)
+        : cfg(c), task(tk), reg(r), out(o), taskT0(t0),
           progSeed(deriveProgramSeed(c.seed, tk.prog_i)),
           retryMax(resolveRetryMax(c.retryMax)),
           generator(tk.templ, progSeed,
@@ -295,8 +293,7 @@ struct TaskState {
     metrics::Registry &reg;
     ProgramOutcome &out;
     cover::ProgramDelta &delta = out.coverDelta;
-    const double taskT0;   ///< registry clock at task start
-    const Stopwatch &watch; ///< wall clock since task start
+    const double taskT0; ///< registry clock at task start
     const std::uint64_t progSeed;
     const int retryMax;
     gen::ProgramGenerator generator;
@@ -363,7 +360,7 @@ finishTask(TaskState &t)
     t.reg.gauge("pipeline.task_seconds").add(task_elapsed);
     t.reg.histogram("pipeline.program_seconds").observe(task_elapsed);
     t.out.metrics = t.reg.snapshot();
-    t.out.taskSeconds = t.watch.seconds();
+    t.out.taskSeconds = task_elapsed;
 }
 
 /** Stage generate: draw the program (or load the corpus kernel) and
@@ -847,7 +844,7 @@ stageClassify(TaskState &t, const TestState &test)
         t.reg.counter("pipeline.counterexamples").inc();
         t.out.hasCex = true;
         if (t.out.firstCexOffsetSeconds < 0)
-            t.out.firstCexOffsetSeconds = t.watch.seconds();
+            t.out.firstCexOffsetSeconds = t.reg.peek() - t.taskT0;
         if (cover)
             ++t.delta.verdicts.counterexamples;
         if (cfg.triageMinimize > 0 || cfg.findingsFile)
@@ -957,7 +954,6 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
               const ProgramTask &task)
 {
     ProgramOutcome out;
-    Stopwatch task_watch;
 
     // Every metric of this task accumulates in a private registry:
     // the instrumented layers below (smt, sat, hw, harness) reach it
@@ -984,7 +980,7 @@ runOneProgram(const PipelineConfig &cfg, bool instrument,
     if (faults::maybeInject(faults::Site::TaskAbort))
         throw faults::InjectedTaskFault(task.prog_i);
 
-    TaskState t(cfg, task, reg, out, task_t0, task_watch);
+    TaskState t(cfg, task, reg, out, task_t0);
     stageGenerate(t, instrument);
     if (!stageScreen(t))
         return out; // screened out, already finished

@@ -426,9 +426,11 @@ struct alignas(64) ProgramOutcome {
     bool failed = false;
     bool quarantined = false;
     std::string name;
-    /** Offset of the first counterexample inside the task (-1: none),
-     *  in task-clock seconds; the merge rebuilds the campaign
-     *  time-to-counterexample from these on the sequential clock. */
+    /** Offset of the first counterexample inside the task (-1: none)
+     *  and the task's duration, both on the task registry's clock
+     *  (deterministic under deterministicMetricsTiming); the merge
+     *  rebuilds the campaign time-to-counterexample from these on the
+     *  sequential clock. */
     double firstCexOffsetSeconds = -1.0;
     double taskSeconds = 0.0;
     /** Experiment-log rows, flushed by the merge thread in order. */

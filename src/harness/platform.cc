@@ -22,14 +22,12 @@ inputFromAssignment(const expr::Assignment &a, const std::string &suffix)
 }
 
 Platform::Platform(const PlatformConfig &config, std::uint64_t noise_seed)
-    : cfg(config), noiseRng(noise_seed)
+    : cfg(config), noiseRng(noise_seed), core(cfg.core, cfg.boardSeed)
 {}
 
 void
-Platform::prepare(hw::Core &core, const bir::Program &program,
-                  const ProgramInput &input)
+Platform::prepare(const ProgramInput &input)
 {
-    (void)program;
     // The platform module clears the cache (and thereby the stride
     // detector) before every execution and installs the test case's
     // initial memory words.
@@ -42,10 +40,9 @@ Platform::prepare(hw::Core &core, const bir::Program &program,
 }
 
 Platform::Measurement
-Platform::measure(hw::Core &core, const bir::Program &program,
-                  const ProgramInput &input)
+Platform::measure(const bir::Program &program, const ProgramInput &input)
 {
-    prepare(core, program, input);
+    prepare(input);
 
     const int shift = cfg.core.geom.lineShift();
     const std::uint64_t set_bits = cfg.core.geom.setShift();
@@ -140,31 +137,12 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
     result.totalReps = cfg.repeats;
     int clean_differing = 0;
 
-    // Batched path: one arena-backed core for all repetitions, reset
-    // in place per repetition.  The rebuild order (destroy the old
-    // core, rewind the arena, reconstruct) keeps arena usage bounded
-    // by one core's footprint; the arena keeps its blocks, so
-    // steady-state experiments allocate nothing.
-    std::optional<hw::Core> local;
-    if (cfg.simBatch) {
-        batchCore.reset();
-        simArena.reset();
-        batchCore =
-            std::make_unique<hw::Core>(cfg.core, cfg.boardSeed, &simArena);
-    }
-
     for (int rep = 0; rep < cfg.repeats; ++rep) {
         const std::uint64_t faults_before = faults::injectedCount();
-        hw::Core *core_p;
-        if (cfg.simBatch) {
-            batchCore->resetMicroarch();
-            core_p = batchCore.get();
-        } else {
-            local.emplace(cfg.core, cfg.boardSeed);
-            local->predictor().reset();
-            core_p = &*local;
-        }
-        hw::Core &core = *core_p;
+        // Every repetition starts from the state of a freshly built
+        // board, so no repetition inherits another's predictor
+        // training.
+        core.resetMicroarch();
 
         // Branch-predictor conditioning.  With a mistraining input
         // (Section 5.3) the PHT is driven toward the *other* path so
@@ -182,8 +160,8 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
             core.run(program, warmup.regs, runScratch);
         }
 
-        const Measurement m1 = measure(core, program, tc.s1);
-        const Measurement m2 = measure(core, program, tc.s2);
+        const Measurement m1 = measure(program, tc.s1);
+        const Measurement m2 = measure(program, tc.s2);
         const bool flaked = faults::injectedCount() != faults_before;
         if (flaked)
             ++result.flakedReps;
@@ -215,22 +193,14 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
     return result;
 }
 
-hw::CacheState
-Platform::measureOnce(const bir::Program &program,
-                      const ProgramInput &input)
-{
-    hw::Core core(cfg.core, cfg.boardSeed);
-    return measure(core, program, input).cache;
-}
-
 std::vector<std::uint64_t>
 Platform::probeOnce(const bir::Program &program,
                     const ProgramInput &input)
 {
     SCAMV_ASSERT(cfg.channel == Channel::PrimeProbe,
                  "probeOnce requires the PrimeProbe channel");
-    hw::Core core(cfg.core, cfg.boardSeed);
-    return measure(core, program, input).probeLatencies;
+    core.resetMicroarch();
+    return measure(program, input).probeLatencies;
 }
 
 } // namespace scamv::harness

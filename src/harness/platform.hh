@@ -21,14 +21,12 @@
 #define SCAMV_HARNESS_PLATFORM_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "expr/eval.hh"
 #include "hw/core.hh"
-#include "support/arena.hh"
 #include "support/rng.hh"
 
 namespace scamv::harness {
@@ -102,16 +100,6 @@ struct PlatformConfig {
     Channel channel = Channel::TrustZoneSnapshot;
     /** Base address of the attacker's prime array (PrimeProbe). */
     std::uint64_t attackerArrayBase = 0x4000000;
-    /**
-     * Batched simulation: reuse one arena-backed core across all
-     * repetitions of an experiment (per-repetition state reset in
-     * place) instead of constructing a fresh core per repetition.
-     * Behaviourally identical either way — every microarchitectural
-     * structure's reset() restores its constructor state, and the
-     * unbatched path is kept as the oracle the batched one is tested
-     * against and as the bench_hotpath baseline.
-     */
-    bool simBatch = true;
 };
 
 /** Details of one experiment execution. */
@@ -142,13 +130,6 @@ class Platform
         const std::optional<ProgramInput> &training = std::nullopt);
 
     /**
-     * Run a single input and @return the visible cache snapshot
-     * (exposed for tests and the attack demos).
-     */
-    hw::CacheState measureOnce(const bir::Program &program,
-                               const ProgramInput &input);
-
-    /**
      * Run a single input under the Prime+Probe channel and @return
      * the per-visible-set probe latencies in cycles.
      */
@@ -167,21 +148,15 @@ class Platform
         bool operator==(const Measurement &) const = default;
     };
 
-    void prepare(hw::Core &core, const bir::Program &program,
-                 const ProgramInput &input);
-    Measurement measure(hw::Core &core, const bir::Program &program,
+    void prepare(const ProgramInput &input);
+    Measurement measure(const bir::Program &program,
                         const ProgramInput &input);
 
     PlatformConfig cfg;
     Rng noiseRng;
-
-    // Batched-simulation state.  The arena is declared before the
-    // core so the core (whose containers live in the arena) is
-    // destroyed first; runExperiment rebuilds the core per experiment
-    // in the order destroy -> arena reset -> reconstruct, which keeps
-    // arena usage bounded by a single core's footprint.
-    support::Arena simArena;
-    std::unique_ptr<hw::Core> batchCore;
+    /** The board: built once, reset to its post-construction state
+     *  (Core::resetMicroarch) before every repetition and probe. */
+    hw::Core core;
     /** Reused run-result buffer (trace capacity persists). */
     hw::RunResult runScratch;
 };

@@ -6,12 +6,10 @@
 
 namespace scamv::hw {
 
-Cache::Cache(const obs::CacheGeometry &geom, support::Arena *arena)
-    : geom(geom), lines(support::ArenaAllocator<Line>(arena))
-{
-    lines.assign(static_cast<std::size_t>(geom.numSets) * geom.ways,
-                 Line{});
-}
+Cache::Cache(const obs::CacheGeometry &geom)
+    : geom(geom),
+      lines(static_cast<std::size_t>(geom.numSets) * geom.ways)
+{}
 
 void
 Cache::reset()
@@ -98,12 +96,6 @@ Cache::snapshot(std::uint64_t lo_set, std::uint64_t hi_set) const
         state.push_back(std::move(tags));
     }
     return state;
-}
-
-bool
-sameCacheState(const CacheState &a, const CacheState &b)
-{
-    return a == b;
 }
 
 } // namespace scamv::hw

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "obs/layout.hh"
-#include "support/arena.hh"
 
 namespace scamv::hw {
 
@@ -30,14 +29,7 @@ using CacheState = std::vector<CacheSetState>;
 class Cache
 {
   public:
-    /**
-     * @param arena optional backing arena for the line array (batched
-     * simulation); null means ordinary heap allocation.  The arena
-     * must outlive the cache and must not be reset while the cache is
-     * alive.
-     */
-    explicit Cache(const obs::CacheGeometry &geom = {},
-                   support::Arena *arena = nullptr);
+    explicit Cache(const obs::CacheGeometry &geom = {});
 
     /** Invalidate every line (the platform clears before each run). */
     void reset();
@@ -84,17 +76,13 @@ class Cache
 
     obs::CacheGeometry geom;
     /** Flat set-major line array: index `set * ways + way`.  A single
-     * contiguous allocation (arena-backed in batch mode) instead of
-     * one vector per set — the hot access() scan walks `ways`
-     * adjacent elements. */
-    std::vector<Line, support::ArenaAllocator<Line>> lines;
+     * contiguous allocation instead of one vector per set — the hot
+     * access() scan walks `ways` adjacent elements. */
+    std::vector<Line> lines;
     std::uint64_t lruClock = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
 };
-
-/** @return true iff the two snapshots are identical. */
-bool sameCacheState(const CacheState &a, const CacheState &b);
 
 } // namespace scamv::hw
 

@@ -9,11 +9,9 @@ namespace scamv::hw {
 using bir::Instr;
 using bir::InstrKind;
 
-Core::Core(const CoreConfig &config, std::uint64_t board_seed,
-           support::Arena *arena)
-    : cfg(config), dcache(config.geom, arena), dtlb(config.tlb, arena),
-      pf(config.prefetcher), bpred(config.predictor, arena),
-      mem(board_seed)
+Core::Core(const CoreConfig &config, std::uint64_t board_seed)
+    : cfg(config), dcache(config.geom), dtlb(config.tlb),
+      pf(config.prefetcher), bpred(config.predictor), mem(board_seed)
 {}
 
 void

@@ -95,10 +95,12 @@ struct RunResult {
     /** Transient load addresses actually issued, in order. */
     std::vector<std::uint64_t> transientTrace;
 
+    bool operator==(const RunResult &) const = default;
+
     /**
      * Zero the counters and clear (but keep the capacity of) the
      * trace vectors, so a long-lived result buffer can be reused
-     * across batched runs without reallocating.
+     * across runs without reallocating.
      */
     void
     reset()
@@ -116,16 +118,8 @@ struct RunResult {
 class Core
 {
   public:
-    /**
-     * @param arena optional backing arena for the cache lines, TLB
-     * entries and predictor PHT (batched simulation).  The arena must
-     * outlive the core and must only be reset after the core is
-     * destroyed (harness::Platform rebuilds its batch core per
-     * experiment: destroy → arena reset → reconstruct).
-     */
     explicit Core(const CoreConfig &config = {},
-                  std::uint64_t board_seed = 0xb0a2dULL,
-                  support::Arena *arena = nullptr);
+                  std::uint64_t board_seed = 0xb0a2dULL);
 
     /** Run a program from an initial register state. */
     RunResult run(const bir::Program &program, const ArchState &init);
@@ -145,8 +139,8 @@ class Core
      * fresh Core with the same config and board seed (each
      * component's reset() restores exactly its constructor state, and
      * Memory junk fill is a pure function of address and board seed),
-     * but without any allocation — the batched simulation path calls
-     * this once per repetition.
+     * but without any allocation — harness::Platform calls this once
+     * per repetition on its single long-lived core.
      */
     void resetMicroarch();
 

@@ -4,10 +4,8 @@
 
 namespace scamv::hw {
 
-BranchPredictor::BranchPredictor(const PredictorConfig &config,
-                                 support::Arena *arena)
-    : cfg(config),
-      table(support::ArenaAllocator<std::uint8_t>(arena))
+BranchPredictor::BranchPredictor(const PredictorConfig &config)
+    : cfg(config)
 {
     SCAMV_ASSERT((cfg.entries & (cfg.entries - 1)) == 0,
                  "PHT entries must be a power of two");

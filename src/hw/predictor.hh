@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/arena.hh"
-
 namespace scamv::hw {
 
 /** Branch predictor configuration. */
@@ -31,10 +29,7 @@ struct PredictorConfig {
 class BranchPredictor
 {
   public:
-    /** @param arena optional backing arena for the PHT (see Cache);
-     * must outlive the predictor. */
-    explicit BranchPredictor(const PredictorConfig &config = {},
-                             support::Arena *arena = nullptr);
+    explicit BranchPredictor(const PredictorConfig &config = {});
 
     /** Reset all counters to the initial value. */
     void reset();
@@ -54,7 +49,7 @@ class BranchPredictor
     std::uint32_t indexOf(std::uint64_t pc) const;
 
     PredictorConfig cfg;
-    std::vector<std::uint8_t, support::ArenaAllocator<std::uint8_t>> table;
+    std::vector<std::uint8_t> table;
     std::uint64_t nMispredicts = 0;
 };
 

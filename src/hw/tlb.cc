@@ -6,8 +6,7 @@
 
 namespace scamv::hw {
 
-Tlb::Tlb(const TlbConfig &config, support::Arena *arena)
-    : cfg(config), table(support::ArenaAllocator<Entry>(arena))
+Tlb::Tlb(const TlbConfig &config) : cfg(config)
 {
     SCAMV_ASSERT(cfg.entries > 0, "TLB needs at least one entry");
     table.resize(cfg.entries);

@@ -156,6 +156,16 @@ Registry::now()
                    ticks.fetch_add(1, std::memory_order_relaxed) + 1) *
                1e-6;
     }
+    return peek();
+}
+
+double
+Registry::peek() const
+{
+    if (mode == ClockMode::Deterministic)
+        return static_cast<double>(
+                   ticks.load(std::memory_order_relaxed)) *
+               1e-6;
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();

@@ -200,6 +200,13 @@ class Registry
      */
     double now();
 
+    /**
+     * Current time without advancing the clock.  Wall mode: steady
+     * clock, as now().  Deterministic mode: the time the latest now()
+     * call returned, so a read adds no tick to the call sequence.
+     */
+    double peek() const;
+
     /** Copy out all metrics (sorted by name). */
     Snapshot snapshot() const;
 

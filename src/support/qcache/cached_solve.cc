@@ -115,22 +115,6 @@ solveOnce(expr::ExprContext &ctx, Expr formula,
     return r;
 }
 
-std::function<std::optional<expr::Assignment>(Expr)>
-samplerSeedOracle(QueryCache *cache, std::int64_t conflict_budget)
-{
-    return [cache, conflict_budget](
-               Expr formula) -> std::optional<expr::Assignment> {
-        if (!cache)
-            return std::nullopt;
-        const CanonForm form = canonicalize(formula);
-        auto hit = cache->lookup(budgetKey(form.key, conflict_budget),
-                                 form.fingerprint);
-        if (!hit || !hit->sat)
-            return std::nullopt;
-        return toOriginal(form, hit->model);
-    };
-}
-
 CachedEnumerator::CachedEnumerator(expr::ExprContext &ctx_,
                                    Expr formula, std::vector<Expr> block_vars,
                                    int block_bits, QueryCache *cache_)

@@ -35,7 +35,6 @@
 #define SCAMV_SUPPORT_QCACHE_CACHED_SOLVE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -68,18 +67,6 @@ SolveResult solveOnce(expr::ExprContext &ctx, expr::Expr formula,
  * and external tools can inspect or pre-seed cache entries.
  */
 Key solveKey(const CanonForm &form, std::int64_t conflict_budget);
-
-/**
- * Adapter for smt::SamplerConfig::seedOracle: looks up a cached Sat
- * model for the sampler's formula (keyed with `conflict_budget`, the
- * budget its solver twin would use) and returns it translated to the
- * caller's names.  Purely a hint — no metrics are merged, and the
- * sampler revalidates before accepting.  Not wired into the pipeline
- * (the sampler strategy is explicitly a diversity strategy); exposed
- * for harnesses that want warm-start sampling.
- */
-std::function<std::optional<expr::Assignment>(expr::Expr)>
-samplerSeedOracle(QueryCache *cache, std::int64_t conflict_budget);
 
 /**
  * Cache-aware replacement for the pipeline's per-pair incremental

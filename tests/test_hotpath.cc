@@ -1,11 +1,10 @@
 /**
  * @file
- * Hot-path engine tests: the support/arena bump allocator, histogram
- * quantiles (p50/p99 export), and the solver-mode byte-identity
- * contract — oneshot and incremental campaigns must
- * produce identical verdicts, experiment logs and metrics for any
- * thread count, cold or warm query cache, and under fault injection;
- * likewise batched vs unbatched simulation.
+ * Hot-path engine tests: histogram quantiles (p50/p99 export) and
+ * the solver-mode byte-identity contract — oneshot and incremental
+ * campaigns must produce identical verdicts, experiment logs and
+ * metrics for any thread count, cold or warm query cache, and under
+ * fault injection.
  */
 
 #include <gtest/gtest.h>
@@ -23,100 +22,12 @@
 #include "gen/templates.hh"
 #include "obs/models.hh"
 #include "smt/modes.hh"
-#include "support/arena.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
 #include "support/qcache/qcache.hh"
 
 namespace scamv {
 namespace {
-
-// ---------------------------------------------------------------------
-// support/arena
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint)
-{
-    support::Arena arena(256);
-    auto *a = static_cast<std::byte *>(arena.allocate(10, 1));
-    auto *b = static_cast<std::byte *>(arena.allocate(16, 16));
-    auto *c = static_cast<std::byte *>(arena.allocate(1, 64));
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 16, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-    // Writable and disjoint: filling one region must not clobber
-    // another.
-    std::fill(a, a + 10, std::byte{0xaa});
-    std::fill(b, b + 16, std::byte{0xbb});
-    EXPECT_EQ(a[0], std::byte{0xaa});
-    EXPECT_EQ(b[0], std::byte{0xbb});
-    EXPECT_GE(arena.used(), 27u);
-    EXPECT_GE(arena.capacity(), arena.used());
-}
-
-TEST(Arena, ResetRetainsCapacityAndReusesBlocks)
-{
-    support::Arena arena(128);
-    for (int i = 0; i < 64; ++i)
-        arena.allocate(32, 8);
-    const std::size_t cap = arena.capacity();
-    EXPECT_GT(cap, 0u);
-
-    arena.reset();
-    EXPECT_EQ(arena.used(), 0u);
-    EXPECT_EQ(arena.capacity(), cap);
-
-    // Steady state: the same allocation pattern fits in the retained
-    // blocks without growing.
-    for (int i = 0; i < 64; ++i)
-        arena.allocate(32, 8);
-    EXPECT_EQ(arena.capacity(), cap);
-}
-
-TEST(Arena, OversizedAllocationGetsDedicatedBlock)
-{
-    support::Arena arena(64);
-    auto *p = arena.allocate(4096, 8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_GE(arena.capacity(), 4096u);
-    // And the arena still serves small allocations afterwards.
-    EXPECT_NE(arena.allocate(8, 8), nullptr);
-}
-
-TEST(Arena, ZeroByteAllocationYieldsUniquePointer)
-{
-    support::Arena arena;
-    EXPECT_NE(arena.allocate(0, 1), arena.allocate(0, 1));
-}
-
-TEST(ArenaAllocator, VectorUsesArenaAndResetReclaims)
-{
-    support::Arena arena(1024);
-    {
-        support::ArenaAllocator<std::uint64_t> alloc(&arena);
-        std::vector<std::uint64_t,
-                    support::ArenaAllocator<std::uint64_t>>
-            v(alloc);
-        v.assign(100, 7);
-        EXPECT_GE(arena.used(), 100 * sizeof(std::uint64_t));
-        EXPECT_EQ(v[99], 7u);
-    } // container destroyed before reset, per the arena contract
-    const std::size_t cap = arena.capacity();
-    arena.reset();
-    EXPECT_EQ(arena.used(), 0u);
-    EXPECT_EQ(arena.capacity(), cap);
-}
-
-TEST(ArenaAllocator, FallsBackToHeapWithoutArena)
-{
-    std::vector<int, support::ArenaAllocator<int>> v;
-    v.assign(1000, 3);
-    EXPECT_EQ(v[999], 3);
-    // Equality is arena identity.
-    support::Arena arena;
-    support::ArenaAllocator<int> heap1, heap2, backed(&arena);
-    EXPECT_TRUE(heap1 == heap2);
-    EXPECT_FALSE(heap1 == backed);
-}
 
 // ---------------------------------------------------------------------
 // Histogram quantiles (p50/p99 metric export)
@@ -361,43 +272,6 @@ TEST(SolverModeEquivalence, LineCoverageFaultCampaign)
             << smt::solverModeName(mode);
         EXPECT_EQ(got.csv, ref.csv) << smt::solverModeName(mode);
     }
-}
-
-// ---------------------------------------------------------------------
-// Batched simulation
-
-TEST(BatchedSimulation, OnOffByteIdentical)
-{
-    auto run = [](bool sim_batch, const char *tag) {
-        core::PipelineConfig cfg = lineCampaign();
-        cfg.platform.simBatch = sim_batch;
-        return runArtifacts(cfg, smt::SolverMode::Incremental, 1,
-                            tag);
-    };
-    const Artifacts off = run(false, "batch_off");
-    const Artifacts on = run(true, "batch_on");
-    EXPECT_FALSE(off.csv.empty());
-    EXPECT_EQ(off.metricsJson, on.metricsJson);
-    EXPECT_EQ(off.csv, on.csv);
-}
-
-TEST(BatchedSimulation, BatchedFaultCampaignMatchesUnbatched)
-{
-    faults::FaultPlan plan;
-    plan.rate = 0.3;
-    plan.mask = faults::FaultPlan::maskAll();
-    auto run = [&](bool sim_batch, const char *tag) {
-        core::PipelineConfig cfg = pcCampaign();
-        cfg.faultPlan = plan;
-        cfg.retryMax = 2;
-        cfg.platform.simBatch = sim_batch;
-        return runArtifacts(cfg, smt::SolverMode::Incremental, 1,
-                            tag);
-    };
-    const Artifacts off = run(false, "fbatch_off");
-    const Artifacts on = run(true, "fbatch_on");
-    EXPECT_EQ(off.metricsJson, on.metricsJson);
-    EXPECT_EQ(off.csv, on.csv);
 }
 
 } // namespace

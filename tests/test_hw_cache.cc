@@ -115,7 +115,7 @@ TEST(Cache, SnapshotsAreOrderCanonical)
     a.access(0x80000 + stride);
     b.access(0x80000 + stride);
     b.access(0x80000);
-    EXPECT_TRUE(sameCacheState(a.snapshot(), b.snapshot()));
+    EXPECT_EQ(a.snapshot(), b.snapshot());
 }
 
 TEST(Cache, DifferentContentsDetected)
@@ -123,7 +123,7 @@ TEST(Cache, DifferentContentsDetected)
     Cache a, b;
     a.access(0x80000);
     b.access(0x80000 + 64);
-    EXPECT_FALSE(sameCacheState(a.snapshot(), b.snapshot()));
+    EXPECT_NE(a.snapshot(), b.snapshot());
 }
 
 TEST(Cache, CustomGeometry)

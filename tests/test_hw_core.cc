@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "bir/asm.hh"
+#include "gen/templates.hh"
 #include "hw/core.hh"
+#include "support/rng.hh"
 
 namespace scamv::hw {
 namespace {
@@ -323,6 +327,70 @@ TEST(Core, LoadsTrainThePrefetcher)
     auto r = core.run(p, state({{0, 0x80000}}));
     EXPECT_EQ(r.prefetches, 1u);
     EXPECT_TRUE(core.cache().probe(0x80000 + 192));
+}
+
+/** Registers pointing into the generators' data region. */
+ArchState
+randomState(Rng &rng)
+{
+    ArchState s;
+    for (std::uint64_t &r : s.regs)
+        r = rng.range(0x80000, 0x100000);
+    return s;
+}
+
+TEST(Core, ResetMicroarchMatchesFreshCore)
+{
+    // harness::Platform runs every repetition of every experiment on
+    // one core, reset in place; that is only sound if a dirty core
+    // after resetMicroarch() is indistinguishable from a fresh one.
+    // The default config has speculation and the prefetcher on.
+    const CoreConfig cfg;
+    const std::uint64_t board_seed = 0xb0a2dULL;
+    Core reused(cfg, board_seed);
+    Rng rng(2718);
+    int programs = 0;
+    for (const auto &[kind, count] :
+         {std::pair{gen::TemplateKind::A, 100},
+          std::pair{gen::TemplateKind::Stride, 100},
+          std::pair{gen::TemplateKind::B, 20},
+          std::pair{gen::TemplateKind::C, 20},
+          std::pair{gen::TemplateKind::D, 20}}) {
+        gen::ProgramGenerator generator(kind, 31 + programs);
+        for (int i = 0; i < count; ++i, ++programs) {
+            const bir::Program p = generator.next();
+            // Dirty every structure on top of whatever the previous
+            // program left: explicit stores, stray runs and the
+            // Section 5.3 predictor training.
+            const ArchState train = randomState(rng);
+            reused.memory().store(train.regs[0], rng.next());
+            reused.run(p, randomState(rng));
+            for (int t = 0; t < 4; ++t)
+                reused.run(p, train);
+            reused.resetMicroarch();
+
+            Core fresh(cfg, board_seed);
+            // The measured run, then a follow-up run on the state it
+            // left behind.
+            for (int run = 0; run < 2; ++run) {
+                const ArchState input = randomState(rng);
+                const RunResult want = fresh.run(p, input);
+                const RunResult got = reused.run(p, input);
+                ASSERT_TRUE(got == want)
+                    << p.name() << " run " << run << "\n"
+                    << p.toString();
+                ASSERT_EQ(reused.cache().snapshot(),
+                          fresh.cache().snapshot())
+                    << p.name() << " run " << run;
+                ASSERT_EQ(reused.tlb().snapshot(), fresh.tlb().snapshot())
+                    << p.name() << " run " << run;
+                ASSERT_EQ(reused.prefetcher().issued(),
+                          fresh.prefetcher().issued())
+                    << p.name() << " run " << run;
+            }
+        }
+    }
+    EXPECT_GE(programs, 200);
 }
 
 } // namespace

@@ -178,6 +178,9 @@ TEST(Metrics, DeterministicClockAdvancesPerCall)
     Registry reg(ClockMode::Deterministic);
     const double t1 = reg.now();
     const double t2 = reg.now();
+    // peek() reads the clock without adding a tick.
+    EXPECT_DOUBLE_EQ(reg.peek(), t2);
+    EXPECT_DOUBLE_EQ(reg.peek(), t2);
     const double t3 = reg.now();
     EXPECT_DOUBLE_EQ(t2 - t1, 1e-6);
     EXPECT_DOUBLE_EQ(t3 - t2, 1e-6);

@@ -13,7 +13,6 @@
 #include "core/pipeline.hh"
 #include "expr/eval.hh"
 #include "expr/expr.hh"
-#include "smt/sampler.hh"
 #include "smt/solver.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
@@ -467,61 +466,6 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
     CachedEnumerator direct(ctx, f, bvars, 12, nullptr);
     EXPECT_FALSE(direct.usesCache());
     EXPECT_EQ(drain(direct), ref);
-}
-
-// ---------------------------------------------------------------------
-// Sampler seeding
-
-TEST(Sampler, SeedOracleIsValidatedBeforeUse)
-{
-    expr::ExprContext ctx;
-    const Expr f = ctx.eq(ctx.bvVar("x"), ctx.bv(5));
-    smt::SamplerConfig config;
-
-    config.seedOracle = [](Expr) {
-        expr::Assignment a;
-        a.bvVars["x"] = 5;
-        return std::optional<expr::Assignment>(a);
-    };
-    Rng rng(7);
-    const std::uint64_t s0 = globalCounter("smt.sampler.seeded");
-    smt::RepairSampler good(ctx, f, rng, config);
-    const auto m = good.sample();
-    ASSERT_TRUE(m);
-    EXPECT_EQ(m->bvVars.at("x"), 5u);
-    EXPECT_EQ(globalCounter("smt.sampler.seeded"), s0 + 1);
-
-    config.seedOracle = [](Expr) {
-        expr::Assignment a;
-        a.bvVars["x"] = 6; // violates the formula
-        return std::optional<expr::Assignment>(a);
-    };
-    const std::uint64_t r0 = globalCounter("smt.sampler.seed_rejected");
-    smt::RepairSampler bad(ctx, f, rng, config);
-    const auto m2 = bad.sample();
-    ASSERT_TRUE(m2); // the stochastic search still finds x == 5
-    EXPECT_TRUE(expr::evalBool(f, *m2));
-    EXPECT_EQ(globalCounter("smt.sampler.seed_rejected"), r0 + 1);
-}
-
-TEST(Sampler, CacheBackedSeedOracleReplaysStoredModels)
-{
-    QueryCache cache({1 << 20, ""});
-    expr::ExprContext ctx;
-    const Expr f =
-        ctx.land(ctx.eq(ctx.add(ctx.bvVar("x"), ctx.bvVar("y")),
-                        ctx.bv(5)),
-                 ctx.ult(ctx.bvVar("x"), ctx.bv(4)));
-    ASSERT_EQ(solveOnce(ctx, f, 200000, &cache).outcome,
-              smt::Outcome::Sat);
-
-    const auto oracle = samplerSeedOracle(&cache, 200000);
-    const auto seed = oracle(f);
-    ASSERT_TRUE(seed);
-    EXPECT_TRUE(expr::evalBool(f, *seed));
-
-    const auto none = samplerSeedOracle(nullptr, 200000)(f);
-    EXPECT_FALSE(none);
 }
 
 // ---------------------------------------------------------------------
