@@ -259,7 +259,7 @@ constexpr double kMinHotpathSpeedup = 1.5;
  * workload (same seed, programs, tests):
  *
  *  - baseline_oneshot: SolverMode::Oneshot (fresh solver per test,
- *    op-log replay) — the quadratic-solving shape the hot-path
+ *    history replay) — the quadratic-solving shape the hot-path
  *    engine replaces;
  *  - hotpath_incremental: SolverMode::Incremental — one live solver
  *    per path pair.

@@ -143,64 +143,6 @@ symmetrizeModel(Expr formula, const bir::Program &program,
 namespace {
 
 /**
- * One recorded mutation of a pair's live incremental solver (oneshot
- * solver mode).  What gets recorded follows what actually mutated the
- * solver: genuine solves (including budget exhaustions — they leave
- * learned clauses behind) are recorded in full; an injected
- * SmtUnknown returns before touching solver state and is not
- * recorded; an injected SatTimeout inside solveWith is recorded as
- * Prepare — the temporary was already blasted into the solver when
- * the search was cut short; see the delta gating at the recording
- * sites.
- */
-struct SolverOp {
-    enum class Kind { Solve, SolveWith, Prepare, Block };
-    Kind kind = Kind::Solve;
-    Expr temporary = nullptr; ///< SolveWith coverage constraint
-    std::int64_t budget = 0;  ///< conflict budget of the call
-};
-
-/**
- * Rebuild a pair's discarded solver by replaying its recorded op log
- * (oneshot solver mode).  The replay is invisible: the CDCL work was
- * already charged to the task registry when first performed, so
- * metrics go to a discarded scratch registry, and fault decisions are
- * suppressed (the original, counted attempt already made them) —
- * mirroring qcache::CachedEnumerator::ensureSolverAt.  Deterministic
- * CDCL makes the rebuilt state exact, which is what keeps oneshot
- * campaigns byte-identical to incremental ones.
- */
-void
-replaySolverOps(qcache::CachedEnumerator &en,
-                const std::vector<SolverOp> &ops,
-                const std::vector<Expr> &block_vars, int block_bits)
-{
-    metrics::Registry mute(metrics::ClockMode::Wall);
-    metrics::ScopedRegistry scope(mute);
-    faults::ScopedSuppress suppress;
-    smt::SmtSolver &solver = en.solver();
-    for (const SolverOp &op : ops) {
-        switch (op.kind) {
-          case SolverOp::Kind::Solve:
-            solver.solveNoInject(op.budget);
-            break;
-          case SolverOp::Kind::SolveWith:
-            // solveWith's SmtUnknown gate is a no-op under
-            // suppression (no injector installed, no attempt counter
-            // consumed).
-            solver.solveWith(op.temporary, op.budget);
-            break;
-          case SolverOp::Kind::Prepare:
-            solver.prepareTemporary(op.temporary);
-            break;
-          case SolverOp::Kind::Block:
-            solver.blockCurrentModel(block_vars, block_bits);
-            break;
-        }
-    }
-}
-
-/**
  * Record one bounded backoff step before a stage retry.  The delay
  * doubles per attempt (1 ms base, capped at ~1 s); it is always
  * recorded in `retry.backoff_seconds`, but only slept on the wall
@@ -316,16 +258,17 @@ struct TaskState {
     bool oneshot = false;
     bool useEnumCache = false;
     std::vector<Expr> blockVars;
-    /** Relation formulas, synthesized lazily (formulaFor). */
-    std::vector<Expr> formulas;
-    /** One (possibly cache-backed) incremental enumerator per pair. */
-    std::vector<std::unique_ptr<qcache::CachedEnumerator>> enums;
-    /** Exhausted pairs: model blocking ran dry or the relation went
-     *  Unsat/Unknown. */
-    std::vector<bool> dead;
-    /** Oneshot mode: per-pair op log, replayed onto a fresh solver at
-     *  every test (see replaySolverOps). */
-    std::vector<std::vector<SolverOp>> oplogs;
+    struct PairState {
+        /** Relation formula, synthesized lazily (formulaFor). */
+        Expr formula = nullptr;
+        /** The pair's solver and its recorded history (enumerated
+         *  strategies only), built at the pair's first solve. */
+        std::unique_ptr<qcache::CachedEnumerator> en;
+        /** Exhausted: model blocking ran dry or the relation went
+         *  Unsat/Unknown. */
+        bool dead = false;
+    };
+    std::vector<PairState> pairState;
     /** Training inputs, cached per s1-path index. */
     std::unordered_map<int, std::optional<harness::ProgramInput>>
         trainingCache;
@@ -469,12 +412,12 @@ stageTrainingPaths(TaskState &t)
 Expr
 formulaFor(TaskState &t, std::size_t idx)
 {
-    if (!t.formulas[idx]) {
+    Expr &formula = t.pairState[idx].formula;
+    if (!formula) {
         metrics::PhaseTimer phase(t.reg, "relation_synthesis");
-        t.formulas[idx] =
-            t.relation->formulaFor(t.relation->pairs()[idx]);
+        formula = t.relation->formulaFor(t.relation->pairs()[idx]);
     }
-    return t.formulas[idx];
+    return formula;
 }
 
 /** The training input for a pair's s1 path, cached per path. */
@@ -574,110 +517,55 @@ solveSampled(TaskState &t, TestState &test, std::int64_t budget)
 
 /**
  * Canonical and RandomPhases strategies: one enumeration step on the
- * pair's incremental solver (rebuilt from its op log first in oneshot
- * mode).  @return true when the pair should retire.
+ * pair's solver (rebuilt from its history first in oneshot mode),
+ * redrawing the coverage constraint under Coverage::PcAndLine.
+ * @return true when the pair should retire.
  */
 bool
 solveEnumerated(TaskState &t, TestState &test, int attempt,
                 std::int64_t budget)
 {
     const PipelineConfig &cfg = t.cfg;
-    auto &en = t.enums[test.pairIdx];
-    if (!en) {
-        // Blocking variables are fixed at construction on the cached
-        // path (they parameterize the cache's enumeration chain); the
-        // uncached path passes them at blocking time, as it always
-        // did.
-        en = std::make_unique<qcache::CachedEnumerator>(
-            t.ctx, test.formula,
-            t.useEnumCache ? t.blockVars : std::vector<Expr>{},
-            cfg.blockingBits, t.useEnumCache ? cfg.queryCache : nullptr);
-    }
+    TaskState::PairState &pair = t.pairState[test.pairIdx];
+    if (!pair.en)
+        pair.en = std::make_unique<qcache::CachedEnumerator>(
+            t.ctx, test.formula, t.blockVars, cfg.blockingBits,
+            t.useEnumCache ? cfg.queryCache : nullptr);
+    qcache::CachedEnumerator &en = *pair.en;
     if (cfg.strategy == SolveStrategy::RandomPhases)
-        en->solver().randomizePhases(t.rng);
+        en.randomizePhases(t.rng);
+    if (t.oneshot && attempt == 0)
+        en.rebuild();
 
-    // Oneshot mode: every test solves on a freshly built solver.  The
-    // uncached paths (which drive the raw solver below) rebuild it
-    // from this pair's op log; the cached path rebuilds lazily from
-    // the cache's own enumeration prefix on the next miss.
-    std::vector<SolverOp> *oplog =
-        t.oneshot && !en->usesCache() ? &t.oplogs[test.pairIdx]
-                                      : nullptr;
-    if (t.oneshot && attempt == 0) {
-        en->discardSolver();
-        if (oplog && !oplog->empty())
-            replaySolverOps(*en, *oplog, t.blockVars, cfg.blockingBits);
-    }
-
-    smt::Outcome outcome = smt::Outcome::Unsat;
+    qcache::CachedEnumerator::Step step;
+    step.outcome = smt::Outcome::Unsat;
     if (cfg.coverage == Coverage::PcAndLine) {
         // Randomly drawn set-index classes often contradict the
         // relation (e.g. distinct classes pinned inside the attacker
         // region); redraw a few times before charging a generation
         // failure.
         for (int redraw = 0; redraw < cfg.coverageRetries &&
-                             outcome != smt::Outcome::Sat;
+                             step.outcome != smt::Outcome::Sat;
              ++redraw) {
             auto cov = drawLineCoverage(t, test);
-            const std::uint64_t solve_inj0 = faults::injectedCount();
-            const std::uint64_t sat_inj0 =
-                faults::injectedCountAt(faults::Site::SatTimeout);
-            outcome = cov ? en->solver().solveWith(cov->constraint,
-                                                   budget)
-                          : en->solver().solve(budget);
-            // Record for replay what mutated the solver: a clean call
-            // in full (a genuine exhaustion leaves learned clauses
-            // behind); an injected SmtUnknown not at all (it returns
-            // before touching solver state); an injected SatTimeout
-            // under a coverage constraint as a blast-only Prepare
-            // (solveWith blasts the temporary before the SAT core
-            // cuts the search short).
-            if (oplog && faults::injectedCount() == solve_inj0) {
-                oplog->push_back({cov ? SolverOp::Kind::SolveWith
-                                      : SolverOp::Kind::Solve,
-                                  cov ? cov->constraint : nullptr,
-                                  budget});
-            } else if (oplog && cov &&
-                       faults::injectedCountAt(
-                           faults::Site::SatTimeout) != sat_inj0) {
-                oplog->push_back(
-                    {SolverOp::Kind::Prepare, cov->constraint, 0});
-            }
+            step = en.step(budget, cov ? cov->constraint : nullptr);
             if (!cov)
                 break;
         }
-    } else if (en->usesCache()) {
-        // Cached enumeration step: solve + model + block in one
-        // cacheable unit.
-        auto step = en->next(budget);
-        outcome = step.outcome;
-        if (outcome == smt::Outcome::Sat) {
-            test.model = std::move(step.model);
-            if (en->dead())
-                t.dead[test.pairIdx] = true;
-        }
     } else {
-        const std::uint64_t solve_inj0 = faults::injectedCount();
-        outcome = en->solver().solve(budget);
-        if (oplog && faults::injectedCount() == solve_inj0)
-            oplog->push_back({SolverOp::Kind::Solve, nullptr, budget});
+        step = en.step(budget);
     }
 
-    if (outcome == smt::Outcome::Sat) {
-        if (!en->usesCache()) {
-            test.model = en->solver().model();
-            if (!en->solver().blockCurrentModel(t.blockVars,
-                                                cfg.blockingBits))
-                t.dead[test.pairIdx] = true;
-            if (oplog)
-                oplog->push_back({SolverOp::Kind::Block, nullptr, 0});
-        }
+    if (step.outcome == smt::Outcome::Sat) {
+        test.model = std::move(step.model);
+        if (en.dead())
+            pair.dead = true;
         return false;
     }
     // Without per-test coverage constraints an Unsat relation stays
     // Unsat: retire the pair.
     return cfg.coverage != Coverage::PcAndLine ||
-           outcome == smt::Outcome::Unknown;
+           step.outcome == smt::Outcome::Unknown;
 }
 
 /**
@@ -708,7 +596,7 @@ stageSolve(TaskState &t, TestState &test)
             });
         // A polluted failure is not attributable to the pair.
         if (!test.model && retire_pair && !polluted)
-            t.dead[test.pairIdx] = true;
+            t.pairState[test.pairIdx].dead = true;
         if (test.model && cfg.strategy == SolveStrategy::Canonical)
             symmetrizeModel(test.formula, t.program, *test.model, t.rng,
                             cfg.similarityBias);
@@ -884,29 +772,27 @@ runTests(TaskState &t)
                      cfg.strategy == SolveStrategy::Canonical &&
                      cfg.coverage == Coverage::Pc;
     // Solver modes reshape *how* the Canonical strategy reaches each
-    // model — fresh solver plus op-log replay (oneshot) or one live
-    // solver (incremental) — never *which* model, so every campaign
-    // artifact is byte-identical across modes (ctest-enforced).
-    // Other strategies always take the incremental path: RandomPhases
-    // draws phases from the task rng (a replay would consume extra
-    // draws) and Sampler has its own search loop.
+    // model — a fresh solver rebuilt from the pair's history
+    // (oneshot) or one live solver (incremental) — never *which*
+    // model, so every campaign artifact is byte-identical across
+    // modes (ctest-enforced).  Other strategies always take the
+    // incremental path: RandomPhases draws phases from the task rng
+    // (a rebuild would lose them) and Sampler has its own search
+    // loop.
     t.oneshot = cfg.strategy == SolveStrategy::Canonical &&
                 cfg.solverMode == smt::SolverMode::Oneshot;
     // Model-blocking variables: a pure function of the program's used
     // registers (every register variable already exists in ctx after
     // symbolic execution).
     t.blockVars = blockingVars(t.ctx, t.program);
-    t.formulas.assign(pairs.size(), nullptr);
-    t.enums.resize(pairs.size());
-    t.dead.assign(pairs.size(), false);
-    if (t.oneshot)
-        t.oplogs.resize(pairs.size());
+    t.pairState.resize(pairs.size());
 
     for (int test_i = 0; test_i < cfg.testsPerProgram; ++test_i) {
         const std::uint64_t test_faults0 = faults::injectedCount();
         // Advance to the next live pair.
         std::size_t probe = 0;
-        while (probe < pairs.size() && t.dead[t.rr % pairs.size()]) {
+        while (probe < pairs.size() &&
+               t.pairState[t.rr % pairs.size()].dead) {
             ++t.rr;
             ++probe;
         }

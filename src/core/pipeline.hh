@@ -173,7 +173,7 @@ struct PipelineConfig {
      * How the per-pair SMT enumeration drives the solver (see
      * smt/modes.hh): `Incremental` (also when unset) reuses one live
      * solver per pair, `Oneshot` rebuilds a fresh solver per test by
-     * op-log replay (the benchmark baseline).  Applies to the
+     * history replay (the benchmark baseline).  Applies to the
      * Canonical strategy only — RandomPhases consumes rng for phase
      * selection and Sampler has its own path — other strategies
      * silently use Incremental.  Both modes produce byte-identical

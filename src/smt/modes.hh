@@ -12,9 +12,10 @@
  *    memoizes the temporary constraint's selector literal, so a
  *    repeated `solveWith` is a pure `solveAssuming`).
  *  - `Oneshot`: the pre-incremental behaviour — a fresh solver per
- *    test, brought up to date by replaying the pair's recorded op
- *    log.  Kept as the bench_hotpath baseline and as a cross-check
- *    that incremental state reuse does not change any result.
+ *    test, brought up to date by replaying the pair's recorded
+ *    solver history (qcache::CachedEnumerator::rebuild).  Kept as
+ *    the hotpath gate's baseline and as a cross-check that
+ *    incremental state reuse does not change any result.
  *
  * Both modes produce byte-identical campaign artifacts (metrics JSON,
  * coverage JSON, ExperimentDb CSV); ctest enforces this (see
@@ -29,7 +30,7 @@ namespace scamv::smt {
 
 /** How the pipeline drives the SMT solver per test pair. */
 enum class SolverMode {
-    Oneshot,    ///< fresh solver per test, op-log replay
+    Oneshot,    ///< fresh solver per test, history replay
     Incremental ///< live solver reused across the pair's tests
 };
 

@@ -183,6 +183,23 @@ tallyQuery(Outcome outcome, double start_time)
     return outcome;
 }
 
+namespace {
+
+/** The query tail every solve entry point shares. */
+Outcome
+tallyResult(sat::Result result, double start_time)
+{
+    switch (result) {
+      case sat::Result::Sat: return tallyQuery(Outcome::Sat, start_time);
+      case sat::Result::Unsat:
+        return tallyQuery(Outcome::Unsat, start_time);
+      case sat::Result::Unknown: break;
+    }
+    return tallyQuery(Outcome::Unknown, start_time);
+}
+
+} // namespace
+
 Outcome
 SmtSolver::solve(std::int64_t conflict_budget)
 {
@@ -190,24 +207,7 @@ SmtSolver::solve(std::int64_t conflict_budget)
     // Injected solver timeout: report Unknown without searching.
     if (faults::maybeInject(faults::Site::SmtUnknown))
         return tallyQuery(Outcome::Unknown, t0);
-    switch (sat.solve(conflict_budget)) {
-      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
-      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
-      case sat::Result::Unknown: return tallyQuery(Outcome::Unknown, t0);
-    }
-    return tallyQuery(Outcome::Unknown, t0);
-}
-
-Outcome
-SmtSolver::solveNoInject(std::int64_t conflict_budget)
-{
-    const double t0 = metrics::current().now();
-    switch (sat.solve(conflict_budget)) {
-      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
-      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
-      case sat::Result::Unknown: return tallyQuery(Outcome::Unknown, t0);
-    }
-    return tallyQuery(Outcome::Unknown, t0);
+    return tallyResult(sat.solve(conflict_budget), t0);
 }
 
 Outcome
@@ -220,12 +220,7 @@ SmtSolver::solveWith(Expr temporary, std::int64_t conflict_budget)
     if (faults::maybeInject(faults::Site::SmtUnknown))
         return tallyQuery(Outcome::Unknown, t0);
     const sat::Lit l = blaster.boolLit(lowerAndAckermannize(temporary));
-    switch (sat.solveAssuming({l}, conflict_budget)) {
-      case sat::Result::Sat: return tallyQuery(Outcome::Sat, t0);
-      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, t0);
-      case sat::Result::Unknown: return tallyQuery(Outcome::Unknown, t0);
-    }
-    return tallyQuery(Outcome::Unknown, t0);
+    return tallyResult(sat.solveAssuming({l}, conflict_budget), t0);
 }
 
 void

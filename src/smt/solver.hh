@@ -76,15 +76,6 @@ class SmtSolver
     Outcome solve(std::int64_t conflict_budget = 200000);
 
     /**
-     * solve() without the SmtUnknown fault-injection gate.  The query
-     * cache owns exactly one gate per logical query and must not
-     * re-fire it when solving a miss or replaying a cached prefix to
-     * materialize an incremental solver; everything else (metrics
-     * tallying, outcomes) is identical to solve().
-     */
-    Outcome solveNoInject(std::int64_t conflict_budget = 200000);
-
-    /**
      * Solve under a temporary constraint that is *not* kept for later
      * calls (used for round-robin coverage classes).
      */
@@ -93,12 +84,10 @@ class SmtSolver
 
     /**
      * Lower and bit-blast `temporary` without solving, exactly as
-     * solveWith would before handing it to the SAT core.  Exposed for
-     * op-log replay (oneshot solver mode): a solveWith call whose
-     * search was cut short by an injected SAT timeout has already
-     * blasted its constraint into the solver, and rebuilding that
-     * state must reproduce the blasting but not the search.
-     * Idempotent — blasting is memoized per expression.
+     * solveWith would before handing it to the SAT core.  Replaying a
+     * solveWith call whose search an injected SAT timeout cut short
+     * must reproduce the blasting but not the search.  Idempotent —
+     * blasting is memoized per expression.
      */
     void prepareTemporary(expr::Expr temporary);
 

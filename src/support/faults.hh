@@ -127,7 +127,7 @@ class Injector
     /** @return total faults injected through this injector. */
     std::uint64_t injectedCount() const { return injected; }
 
-    /** @return faults injected at one site (op-log gating needs to
+    /** @return faults injected at one site (history recording needs to
      *  tell a pre-mutation SmtUnknown from a post-blast SatTimeout). */
     std::uint64_t
     injectedCountAt(Site site) const

@@ -97,7 +97,7 @@ solveOnce(expr::ExprContext &ctx, Expr formula,
         metrics::ScopedRegistry scope(scratch);
         faults::ScopedSuppress suppress;
         smt::SmtSolver solver(ctx, formula);
-        r.outcome = solver.solveNoInject(conflict_budget);
+        r.outcome = solver.solve(conflict_budget);
         if (r.outcome == smt::Outcome::Sat)
             r.model = solver.model();
     }
@@ -148,66 +148,108 @@ CachedEnumerator::stepKey(int step, std::int64_t conflict_budget) const
                mixKey(form.key.lo, mixKey(kBudgetSalt, salt))};
 }
 
-void
-CachedEnumerator::ensureSolverAt(int target)
+smt::SmtSolver &
+CachedEnumerator::materialize()
 {
     if (!solver_)
         solver_ = std::make_unique<smt::SmtSolver>(ctx, formula_);
-    if (solverStep_ >= target)
-        return;
-    // Replay the cached prefix to rebuild incremental solver state.
-    // Fingerprint gating guarantees the replayed trajectory is the
-    // one that produced the cached entries, so an unlimited budget is
-    // safe (a Sat trajectory within budget B is identical under any
-    // budget >= B).  The work is invisible: metrics go to a discarded
-    // scratch registry (hits already merged the original deltas) and
-    // fault decisions are suppressed (the original attempt consumed
-    // them).
+    if (applied_ == history_.size())
+        return *solver_;
+    // The replay is invisible: the recorded work was already charged
+    // to the querier when first performed (or merged from a hit's
+    // stored delta), so metrics go to a discarded registry, and fault
+    // decisions are suppressed (the original attempt consumed them).
+    // A hit is replayed at an unlimited budget: a Sat trajectory
+    // within budget B is identical under any budget >= B.
     metrics::Registry mute(metrics::ClockMode::Wall);
     metrics::ScopedRegistry scope(mute);
     faults::ScopedSuppress suppress;
-    while (solverStep_ < target) {
-        const smt::Outcome out = solver_->solveNoInject(-1);
-        SCAMV_ASSERT(out == smt::Outcome::Sat,
-                     "qcache: cached enumeration prefix failed to "
-                     "replay");
-        solver_->blockCurrentModel(blockVars, blockBits);
-        ++solverStep_;
+    for (; applied_ < history_.size(); ++applied_) {
+        const Op &op = history_[applied_];
+        smt::Outcome out = op.outcome;
+        switch (op.kind) {
+          case Op::Kind::Solve:
+            out = solver_->solve(op.budget);
+            break;
+          case Op::Kind::SolveWith:
+            out = solver_->solveWith(op.temporary, op.budget);
+            break;
+          case Op::Kind::Prepare:
+            solver_->prepareTemporary(op.temporary);
+            break;
+          case Op::Kind::Block:
+            solver_->blockCurrentModel(blockVars, blockBits);
+            break;
+        }
+        SCAMV_ASSERT(out == op.outcome,
+                     "enumerator: replayed solve diverged from its "
+                     "recorded outcome");
     }
-}
-
-smt::SmtSolver &
-CachedEnumerator::solver()
-{
-    ensureSolverAt(step_);
     return *solver_;
 }
 
 void
-CachedEnumerator::discardSolver()
+CachedEnumerator::rebuild()
 {
     solver_.reset();
-    solverStep_ = 0;
+    applied_ = 0;
+    materialize();
+}
+
+void
+CachedEnumerator::randomizePhases(Rng &rng)
+{
+    materialize().randomizePhases(rng);
+}
+
+void
+CachedEnumerator::recordLive(Op op)
+{
+    history_.push_back(op);
+    applied_ = history_.size();
 }
 
 CachedEnumerator::Step
-CachedEnumerator::next(std::int64_t conflict_budget)
+CachedEnumerator::solveLive(std::int64_t conflict_budget, Expr temporary)
 {
+    smt::SmtSolver &solver = materialize();
+    const std::uint64_t inj0 = faults::injectedCount();
+    const std::uint64_t timeout0 =
+        faults::injectedCountAt(faults::Site::SatTimeout);
     Step s;
-    if (!cache) {
-        ensureSolverAt(step_);
-        s.outcome = solver_->solve(conflict_budget);
-        if (s.outcome == smt::Outcome::Sat) {
-            s.model = solver_->model();
-            if (!solver_->blockCurrentModel(blockVars, blockBits))
-                dead_ = true;
-            ++solverStep_;
-            ++step_;
-        }
-        return s;
+    s.outcome = temporary ? solver.solveWith(temporary, conflict_budget)
+                          : solver.solve(conflict_budget);
+    // Record what mutated the solver: a clean call in full (a genuine
+    // exhaustion leaves learned clauses behind); an injected
+    // SmtUnknown not at all (it returns before touching solver
+    // state); an injected SatTimeout under a temporary as a
+    // blast-only Prepare (solveWith blasts the temporary before the
+    // SAT core cuts the search short).
+    if (faults::injectedCount() == inj0)
+        recordLive({temporary ? Op::Kind::SolveWith : Op::Kind::Solve,
+                    temporary, conflict_budget, s.outcome});
+    else if (temporary &&
+             faults::injectedCountAt(faults::Site::SatTimeout) != timeout0)
+        recordLive({Op::Kind::Prepare, temporary, 0, s.outcome});
+    if (s.outcome == smt::Outcome::Sat) {
+        s.model = solver.model();
+        if (!solver.blockCurrentModel(blockVars, blockBits))
+            dead_ = true;
+        recordLive({Op::Kind::Block, nullptr, 0, s.outcome});
     }
+    return s;
+}
+
+CachedEnumerator::Step
+CachedEnumerator::step(std::int64_t conflict_budget, Expr temporary)
+{
+    if (!cache)
+        return solveLive(conflict_budget, temporary);
+    SCAMV_ASSERT(!temporary,
+                 "enumerator: temporaries never go through the cache");
 
     // One SmtUnknown gate per logical step (cf. solveOnce).
+    Step s;
     if (faults::current()) {
         const double t0 = metrics::current().now();
         if (faults::maybeInject(faults::Site::SmtUnknown)) {
@@ -220,21 +262,21 @@ CachedEnumerator::next(std::int64_t conflict_budget)
     const double tg0 = g.now();
     const Key key = stepKey(step_, conflict_budget);
     if (auto hit = cache->lookup(key, form.fingerprint)) {
-        if (!hit->sat) {
+        std::optional<expr::Assignment> model;
+        if (hit->sat)
+            model = toOriginal(form, hit->model);
+        if (!hit->sat || expr::evalBool(formula_, *model)) {
             metrics::current().merge(hit->delta);
+            // Recorded, not run: the next miss replays these entries.
+            s.outcome = hit->sat ? smt::Outcome::Sat : smt::Outcome::Unsat;
+            history_.push_back({Op::Kind::Solve, nullptr, -1, s.outcome});
+            if (hit->sat) {
+                history_.push_back({Op::Kind::Block, nullptr, 0, s.outcome});
+                s.model = std::move(model);
+                if (hit->pairDead)
+                    dead_ = true;
+            }
             ++step_;
-            s.outcome = smt::Outcome::Unsat;
-            observeHit(tg0);
-            return s;
-        }
-        expr::Assignment model = toOriginal(form, hit->model);
-        if (expr::evalBool(formula_, model)) {
-            metrics::current().merge(hit->delta);
-            if (hit->pairDead)
-                dead_ = true;
-            ++step_;
-            s.outcome = smt::Outcome::Sat;
-            s.model = std::move(model);
             observeHit(tg0);
             return s;
         }
@@ -242,20 +284,13 @@ CachedEnumerator::next(std::int64_t conflict_budget)
         cache->dropInvalid(key);
     }
 
-    // Miss: bring the solver up to this step, run it inside a scratch
-    // registry, and store the captured step.
-    ensureSolverAt(step_);
-    bool block_dead = false;
+    // Miss: solve on the live solver inside a scratch registry, and
+    // store the captured step.
     metrics::Registry scratch(metrics::current().clockMode());
     {
         metrics::ScopedRegistry scope(scratch);
         faults::ScopedSuppress suppress;
-        s.outcome = solver_->solveNoInject(conflict_budget);
-        if (s.outcome == smt::Outcome::Sat) {
-            s.model = solver_->model();
-            if (!solver_->blockCurrentModel(blockVars, blockBits))
-                block_dead = true;
-        }
+        s = solveLive(conflict_budget, nullptr);
     }
     metrics::Snapshot delta = scratch.snapshot();
     metrics::current().merge(delta);
@@ -265,17 +300,11 @@ CachedEnumerator::next(std::int64_t conflict_budget)
     Entry e;
     e.sat = s.outcome == smt::Outcome::Sat;
     e.fingerprint = form.fingerprint;
-    e.pairDead = block_dead;
+    e.pairDead = dead_;
     if (s.model)
         e.model = toCanonical(form, *s.model);
     e.delta = std::move(delta);
     cache->store(key, std::move(e));
-
-    if (s.outcome == smt::Outcome::Sat) {
-        if (block_dead)
-            dead_ = true;
-        ++solverStep_;
-    }
     ++step_;
     return s;
 }

@@ -10,13 +10,15 @@
  *    cached Sat into what an uncached run would have reported as
  *    Unknown.
  *
- *  - `CachedEnumerator`: the pipeline's canonical model-enumeration
- *    loop (solve, extract model, block it, repeat).  Each step is a
- *    distinct logical query keyed by (formula, blocking config, step
- *    index, budget); on a miss past cached steps the enumerator
- *    rebuilds the incremental solver by replaying the cached prefix —
- *    fingerprint gating guarantees the replayed CDCL trajectory is
- *    the original one, so the rebuilt state is exact.
+ *  - `CachedEnumerator`: the pipeline's per-pair model-enumeration
+ *    solver (solve, extract model, block it, repeat).  With a cache
+ *    each step is a distinct logical query keyed by (formula,
+ *    blocking config, step index, budget).  Every step, hit or miss,
+ *    appends to the pair's one recorded history of solver mutations;
+ *    a miss after hits and a oneshot rebuild both replay that history
+ *    onto the solver.  Fingerprint gating guarantees that replaying
+ *    a hit reproduces the original CDCL trajectory, so the rebuilt
+ *    state is exact.
  *
  * Metric discipline: a miss solves inside a scratch registry and the
  * captured delta is both merged into the querier's registry and
@@ -26,7 +28,7 @@
  *
  * Fault discipline: the wrapper owns exactly one SmtUnknown gate per
  * logical query (mirroring SmtSolver::solve) and suppresses the
- * injector during miss solves and prefix replays.  The pipeline
+ * injector during miss solves and history replays.  The pipeline
  * additionally bypasses the cache entirely when a fault plan is
  * active, keeping fault-injection campaigns byte-identical to PR3.
  */
@@ -69,10 +71,22 @@ SolveResult solveOnce(expr::ExprContext &ctx, expr::Expr formula,
 Key solveKey(const CanonForm &form, std::int64_t conflict_budget);
 
 /**
- * Cache-aware replacement for the pipeline's per-pair incremental
- * solver.  With a null cache, `solver()` hands out a lazily
- * constructed SmtSolver and the pipeline drives it exactly as before;
- * with a cache, `next()` runs the enumeration step through the cache.
+ * The one per-pair solver of the pipeline's enumerated strategies:
+ * a live incremental SmtSolver over the pair's relation plus the
+ * recorded history of every operation that mutated it.
+ *
+ * Each step records itself as it runs: a solve or solveWith with its
+ * budget and outcome, a blast-only Prepare for a solveWith whose
+ * search an injected SatTimeout cut short, and the block of a found
+ * model.  An injected SmtUnknown returns before touching the solver
+ * and records nothing.  With a cache, a hit records the solve (at an
+ * unlimited budget) and block it stands for without running them;
+ * the next miss replays those entries onto the live solver first.
+ * `rebuild()` drops the solver and replays the whole history onto a
+ * fresh one (oneshot solver mode).  Replay runs under a muted
+ * registry with faults suppressed, and deterministic CDCL makes the
+ * rebuilt state exact; every replayed solve must return its recorded
+ * outcome.
  */
 class CachedEnumerator
 {
@@ -95,39 +109,40 @@ class CachedEnumerator
     };
 
     /**
-     * Run the next enumeration step under `conflict_budget`.  On Sat
-     * the model has been blocked; `dead()` reports whether blocking
-     * exhausted the pair.  Unknown steps are never cached and do not
-     * advance the step counter (the pipeline retires the pair).
+     * Run the next enumeration step under `conflict_budget`, with
+     * `temporary` (a coverage constraint, uncached only) holding for
+     * this solve alone.  On Sat the model has been blocked; `dead()`
+     * reports whether blocking exhausted the pair.  Cached Unknown
+     * steps are never stored and do not advance the cache chain.
      */
-    Step next(std::int64_t conflict_budget);
+    Step step(std::int64_t conflict_budget,
+              expr::Expr temporary = nullptr);
 
-    /** @return true when steps go through the query cache. */
-    bool usesCache() const { return cache != nullptr; }
+    /** Use uniformly random decision polarities from now on (not
+     *  recorded: never combined with rebuild()). */
+    void randomizePhases(Rng &rng);
+
+    /** Drop the live solver and replay the history onto a fresh one. */
+    void rebuild();
 
     /** @return true once blocking has exhausted the enumeration. */
     bool dead() const { return dead_; }
 
-    /**
-     * Direct access to the underlying incremental solver for the
-     * non-cached strategies (coverage constraints, random phases).
-     * Materializes the solver — replaying any cached prefix first —
-     * on first use.
-     */
-    smt::SmtSolver &solver();
-
-    /**
-     * Drop the live solver (oneshot solver mode).  The next solver()
-     * or uncached next() call rebuilds it from scratch, replaying the
-     * enumeration prefix — the step counter is untouched, so cached
-     * hits and the logical enumeration position are unaffected.
-     */
-    void discardSolver();
-
-    expr::Expr formula() const { return formula_; }
-
   private:
-    void ensureSolverAt(int target);
+    /** One recorded mutation of the live solver. */
+    struct Op {
+        enum class Kind { Solve, SolveWith, Prepare, Block };
+        Kind kind = Kind::Solve;
+        expr::Expr temporary = nullptr; ///< SolveWith / Prepare
+        std::int64_t budget = 0;
+        smt::Outcome outcome = smt::Outcome::Unknown;
+    };
+
+    /** Create the solver if absent and replay the unapplied tail. */
+    smt::SmtSolver &materialize();
+    /** Solve on the live solver, block a found model, record both. */
+    Step solveLive(std::int64_t conflict_budget, expr::Expr temporary);
+    void recordLive(Op op);
     Key stepKey(int step, std::int64_t conflict_budget) const;
 
     expr::ExprContext &ctx;
@@ -138,8 +153,9 @@ class CachedEnumerator
     CanonForm form;
     std::uint64_t chainSalt = 0;
     std::unique_ptr<smt::SmtSolver> solver_;
-    int step_ = 0;       ///< next logical enumeration step
-    int solverStep_ = 0; ///< steps already applied to solver_
+    std::vector<Op> history_;
+    std::size_t applied_ = 0; ///< history entries applied to solver_
+    int step_ = 0;            ///< next cache-chain step
     bool dead_ = false;
 };
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +15,11 @@
 #include "core/pipeline.hh"
 #include "expr/eval.hh"
 #include "expr/expr.hh"
+#include "gen/templates.hh"
+#include "obs/models.hh"
+#include "rel/relation.hh"
 #include "smt/solver.hh"
+#include "sym/symexec.hh"
 #include "support/faults.hh"
 #include "support/metrics.hh"
 #include "support/qcache/cached_solve.hh"
@@ -440,7 +446,7 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
     auto drain = [&](CachedEnumerator &en) {
         std::vector<std::uint64_t> out;
         for (int i = 0; i < 8; ++i) {
-            const CachedEnumerator::Step s = en.next(200000);
+            const CachedEnumerator::Step s = en.step(200000);
             if (s.outcome != smt::Outcome::Sat)
                 break;
             out.push_back(s.model->bvVars.at("x"));
@@ -464,8 +470,183 @@ TEST(Enumerator, ColdWarmAndUncachedStreamsAgree)
 
     // The uncached enumerator leg reproduces the same stream.
     CachedEnumerator direct(ctx, f, bvars, 12, nullptr);
-    EXPECT_FALSE(direct.usesCache());
     EXPECT_EQ(drain(direct), ref);
+}
+
+// ---------------------------------------------------------------------
+// Recorded history: a rebuild before every step is unobservable
+
+/** The relation of a Stride program's first path pair (Mpart refined
+ *  by Mpart'), its register variables and a fixed list of Mline
+ *  coverage constraints for it. */
+struct StridePair {
+    expr::ExprContext ctx;
+    Expr formula = nullptr;
+    std::vector<Expr> blockVars;
+    std::vector<Expr> covers;
+
+    StridePair()
+    {
+        const bir::Program prog =
+            gen::ProgramGenerator(gen::TemplateKind::Stride, 7).next();
+        obs::RefinementPair annot(
+            obs::makeModel(obs::ModelKind::Mpart),
+            obs::makeModel(obs::ModelKind::MpartRefined));
+        rel::RelationConfig cfg;
+        cfg.refine = true;
+        rel::RelationSynthesizer rel(
+            ctx, sym::execute(ctx, prog, annot, {"_1"}),
+            sym::execute(ctx, prog, annot, {"_2"}), cfg);
+        const rel::PathPair &pair = rel.pairs().at(0);
+        formula = rel.formulaFor(pair);
+        // Block on the relation's own register variables, so every
+        // blocking clause shows in the next model.
+        for (Expr v : expr::collectVars(formula))
+            if (v->kind == expr::Kind::BvVar)
+                blockVars.push_back(v);
+        Rng rng(11);
+        for (int i = 0; i < 12; ++i)
+            if (auto cov = rel.lineCoverageConstraint(pair, rng))
+                covers.push_back(cov->constraint);
+    }
+};
+
+/** One scripted enumeration step. */
+struct ScriptStep {
+    std::int64_t budget = 200000;
+    int cover = -1; ///< index into StridePair::covers, -1: none
+    /** Site injected on every attempt during the step. */
+    std::optional<faults::Site> inject;
+};
+
+/** The outcome and model of every step, one line each. */
+std::vector<std::string>
+runScript(const StridePair &p, CachedEnumerator &en,
+          const std::vector<ScriptStep> &script, bool rebuild_each)
+{
+    std::vector<std::string> out;
+    for (const ScriptStep &s : script) {
+        if (rebuild_each)
+            en.rebuild();
+        faults::FaultPlan plan;
+        if (s.inject) {
+            plan.rate = 1.0;
+            plan.mask = 1u << static_cast<int>(*s.inject);
+        }
+        faults::Injector injector(plan, 1, 0);
+        std::optional<faults::ScopedInjector> scope;
+        if (s.inject)
+            scope.emplace(injector);
+        const CachedEnumerator::Step st = en.step(
+            s.budget, s.cover >= 0 ? p.covers.at(s.cover) : nullptr);
+        std::string line =
+            st.outcome == smt::Outcome::Sat     ? "sat"
+            : st.outcome == smt::Outcome::Unsat ? "unsat"
+                                                : "unknown";
+        if (st.model) {
+            std::map<std::string, std::uint64_t> sorted(
+                st.model->bvVars.begin(), st.model->bvVars.end());
+            for (const auto &[mem, words] : st.model->mems)
+                for (const auto &[addr, value] : words.entries())
+                    sorted[mem + "@" + std::to_string(addr)] = value;
+            for (const auto &[name, value] : sorted)
+                line += " " + name + "=" + std::to_string(value);
+        }
+        out.push_back(line);
+    }
+    return out;
+}
+
+std::size_t
+countPrefix(const std::vector<std::string> &lines, const char *prefix)
+{
+    std::size_t n = 0;
+    for (const std::string &l : lines)
+        n += l.rfind(prefix, 0) == 0;
+    return n;
+}
+
+TEST(EnumeratorHistory, UncachedRebuildEachStepMatchesLiveSolver)
+{
+    StridePair p;
+    ASSERT_GE(p.covers.size(), 6u);
+    const std::vector<ScriptStep> script = {
+        {200000, -1, {}},
+        {200000, 0, {}},
+        {200000, 1, {}},
+        {200000, 2, faults::Site::SatTimeout},
+        {200000, -1, {}},
+        {200000, 3, faults::Site::SmtUnknown},
+        {200000, -1, faults::Site::SmtUnknown},
+        {0, 4, {}},
+        {200000, 2, {}},
+        {200000, 5, {}},
+        {0, -1, {}},
+        {200000, -1, {}},
+        {200000, 4, {}},
+        {200000, -1, {}},
+    };
+    CachedEnumerator live(p.ctx, p.formula, p.blockVars, 12, nullptr);
+    CachedEnumerator rebuilt(p.ctx, p.formula, p.blockVars, 12, nullptr);
+    const std::vector<std::string> want =
+        runScript(p, live, script, false);
+    EXPECT_EQ(runScript(p, rebuilt, script, true), want);
+    EXPECT_EQ(rebuilt.dead(), live.dead());
+    // The script reaches every kind of step it was written for: three
+    // injected Unknowns, one genuine budget exhaustion under a
+    // coverage constraint, infeasible constraints and fresh models.
+    EXPECT_EQ(want[3], "unknown");
+    EXPECT_EQ(want[5], "unknown");
+    EXPECT_EQ(want[6], "unknown");
+    EXPECT_EQ(want[7], "unknown");
+    EXPECT_EQ(countPrefix(want, "unknown"), 4u);
+    EXPECT_EQ(countPrefix(want, "unsat"), 5u);
+    EXPECT_EQ(countPrefix(want, "sat"), 5u);
+}
+
+TEST(EnumeratorHistory, CachedRebuildEachStepMatchesLiveSolver)
+{
+    StridePair p;
+    // Steps 0-7 at the default budget are cached before each leg; a
+    // step at another budget, or past step 7, misses.
+    const auto warm = [&](QueryCache &cache) {
+        CachedEnumerator en(p.ctx, p.formula, p.blockVars, 12, &cache);
+        for (int i = 0; i < 8; ++i)
+            ASSERT_EQ(en.step(200000).outcome, smt::Outcome::Sat);
+    };
+    const std::vector<ScriptStep> script = {
+        {200000, -1, {}},                       // hit
+        {200000, -1, {}},                       // hit
+        {100000, -1, {}},                       // miss after hits
+        {200000, -1, {}},                       // hit after a miss
+        {200000, -1, faults::Site::SmtUnknown}, // gate: no step
+        {200000, -1, {}},                       // hit
+        {0, -1, {}},                            // miss
+        {200000, -1, {}},                       // hit
+        {200000, -1, {}},                       // hit
+        {200000, -1, {}},                       // miss
+        {200000, -1, {}},                       // miss
+    };
+    QueryCache live_cache({1 << 20, ""});
+    QueryCache rebuilt_cache({1 << 20, ""});
+    warm(live_cache);
+    warm(rebuilt_cache);
+    const std::uint64_t h0 = globalCounter("qcache.hit");
+    const std::uint64_t m0 = globalCounter("qcache.miss");
+    CachedEnumerator live(p.ctx, p.formula, p.blockVars, 12, &live_cache);
+    const std::vector<std::string> want =
+        runScript(p, live, script, false);
+    EXPECT_EQ(globalCounter("qcache.hit") - h0, 6u);
+    EXPECT_EQ(globalCounter("qcache.miss") - m0, 4u);
+    CachedEnumerator rebuilt(p.ctx, p.formula, p.blockVars, 12,
+                             &rebuilt_cache);
+    EXPECT_EQ(runScript(p, rebuilt, script, true), want);
+    // Hits and misses together enumerate exactly what the uncached
+    // solver does.
+    CachedEnumerator direct(p.ctx, p.formula, p.blockVars, 12, nullptr);
+    EXPECT_EQ(runScript(p, direct, script, false), want);
+    EXPECT_EQ(countPrefix(want, "sat"), script.size() - 1);
+    EXPECT_EQ(want[4], "unknown");
 }
 
 // ---------------------------------------------------------------------
