@@ -343,9 +343,9 @@ stageGenerate(TaskState &t, bool instrument)
  * task's rng streams untouched and the surviving programs replay
  * byte-identically with the screen on or off.  The class mask of a
  * surviving program lets the adaptive coverage draw skip classes the
- * program provably cannot touch.  A screened-out program is frozen
- * while the phase is still open, so its snapshot carries no
- * triage_screen observation.
+ * program provably cannot touch.  The phase closes before a
+ * screened-out program is frozen, so every screened program's
+ * snapshot carries its triage_screen observation.
  * @return false when the program was screened out (and finished).
  */
 bool
@@ -354,9 +354,12 @@ stageScreen(TaskState &t)
     const PipelineConfig &cfg = t.cfg;
     if (cfg.triageScreen <= 0 || !cfg.refinement)
         return true;
-    metrics::PhaseTimer phase(t.reg, "triage_screen");
-    triage::ScreenResult screen = triage::screenProgram(
-        t.modelProg, cfg.model, *cfg.refinement, cfg.modelParams);
+    triage::ScreenResult screen;
+    {
+        metrics::PhaseTimer phase(t.reg, "triage_screen");
+        screen = triage::screenProgram(t.modelProg, cfg.model,
+                                       *cfg.refinement, cfg.modelParams);
+    }
     if (screen.verdict == triage::ScreenVerdict::Boring) {
         t.reg.counter("triage.screened").inc();
         t.reg.counter("triage.screened." + screen.reason).inc();

@@ -546,6 +546,35 @@ TEST(ScreenCampaign, StrideFullWindowScreensEveryProgram)
     EXPECT_GT(off.metrics.histograms.count("phase.smt_seconds"), 0u);
 }
 
+TEST(ScreenCampaign, ScreenPhaseCountsEveryProgramThatEnteredIt)
+{
+    // A screened-out program is finished after the triage_screen
+    // phase closes, so the phase histogram counts every program the
+    // screen saw: all of them (full attacker window), and only the
+    // Stride half of an A/Stride campaign under Mct refined by Mspec.
+    PipelineConfig stride = strideCfg();
+    stride.modelParams.attacker.loSet = 0;
+    stride.platform.visibleLoSet = 0;
+    PipelineConfig spec;
+    spec.templateKinds = {gen::TemplateKind::A, gen::TemplateKind::Stride};
+    spec.model = obs::ModelKind::Mct;
+    spec.refinement = obs::ModelKind::Mspec;
+    spec.programs = 8;
+    spec.testsPerProgram = 2;
+    spec.seed = 42;
+    spec.deterministicMetricsTiming = true;
+    for (PipelineConfig cfg : {stride, spec}) {
+        cfg.triageScreen = 1;
+        const RunStats stats = core::Pipeline(cfg).run();
+        EXPECT_GT(stats.screened, 0);
+        const auto phase =
+            stats.metrics.histograms.find("phase.triage_screen_seconds");
+        ASSERT_NE(phase, stats.metrics.histograms.end());
+        EXPECT_EQ(phase->second.count,
+                  static_cast<std::uint64_t>(cfg.programs));
+    }
+}
+
 /** Campaign findings rendered as the canonical JSON export. */
 std::string
 findingsJsonOf(const RunStats &stats)
