@@ -38,6 +38,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "shard/shard.hh"
@@ -377,12 +378,9 @@ struct Service::Impl {
 Service::Service(const ServiceConfig &config)
     : cfg(config), impl(std::make_unique<Impl>())
 {
-    if (cfg.workers < 1)
-        cfg.workers = 1;
-    if (cfg.shards < 1)
-        cfg.shards = 1;
-    if (cfg.queueMax < 1)
-        cfg.queueMax = 1;
+    if (!cfg.inBounds())
+        throw std::invalid_argument(
+            "svc: workers, shards or queue_max out of bounds");
     impl->cfg = cfg;
     impl->cacheEnabled =
         qcache::QueryCache::configFromEnv().maxBytes > 0;

@@ -287,6 +287,8 @@ struct SubmissionStatus {
 class Service
 {
   public:
+    /** @throws std::invalid_argument, before any thread starts,
+     *  unless `config.inBounds()`. */
     explicit Service(const ServiceConfig &config);
     ~Service();
 

@@ -15,7 +15,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,6 +299,27 @@ TEST(SvcConfig, FlagAndEnvBoundsAgree)
     EXPECT_EQ(env.shards, 16);
     EXPECT_EQ(env.queueMax, svc::ServiceConfig{}.queueMax);
     EXPECT_TRUE(env.inBounds());
+}
+
+TEST(SvcConfig, ServiceRejectsOutOfBoundsConfigBeforeAnyThread)
+{
+    // A library caller is held to the bounds scamvd and SCAMV_SVC_*
+    // enforce: the constructor throws before it creates the service
+    // directory or starts a fleet thread.
+    const auto thread_count = [] {
+        std::error_code ec;
+        fs::directory_iterator it("/proc/self/task", ec);
+        return ec ? -1 : static_cast<int>(std::distance(
+                             it, fs::directory_iterator{}));
+    };
+    svc::ServiceConfig cfg;
+    cfg.dir = ::testing::TempDir() + "scamv_svc_rejected";
+    cfg.workers = svc::ServiceConfig::kMaxWorkers + 1;
+    fs::remove_all(cfg.dir);
+    const int before = thread_count();
+    EXPECT_THROW(svc::Service service(cfg), std::invalid_argument);
+    EXPECT_EQ(thread_count(), before);
+    EXPECT_FALSE(fs::exists(cfg.dir));
 }
 
 TEST(SvcRpc, FaultPlanForCoversSvcSites)
