@@ -27,7 +27,7 @@ echo "== TSan: thread pool + pipeline tests (${TSAN_DIR}) =="
 cmake -B "$TSAN_DIR" -S . "${GENERATOR[@]}" -DSCAMV_ENABLE_TSAN=ON
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target test_thread_pool test_pipeline test_metrics test_qcache \
-    test_cover test_svc
+    test_cover test_svc test_hotpath
 
 # Force a real multi-thread pool even on single-core CI runners so
 # TSan observes genuine cross-thread interleavings.
@@ -40,6 +40,10 @@ SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_qcache \
     --gtest_filter='Campaign.*:Cache.*'
 SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_cover \
     --gtest_filter='CoverPipeline.*:CoverFaultCampaign.*'
+# Solver-mode equivalence: oneshot rebuilds each pair's solver from
+# its recorded history while pool threads run other programs.
+SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_hotpath \
+    --gtest_filter='SolverModeEquivalence.*'
 # Campaign service: worker fleet + merger thread + socket server.
 SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_svc \
     --gtest_filter='SvcTest.*'
