@@ -529,19 +529,19 @@ solveEnumerated(TaskState &t, TestState &test, int attempt,
                 std::int64_t budget)
 {
     const PipelineConfig &cfg = t.cfg;
-    TaskState::PairState &pair = t.pairState[test.pairIdx];
-    if (!pair.en)
-        pair.en = std::make_unique<qcache::CachedEnumerator>(
+    TaskState::PairState &state = t.pairState[test.pairIdx];
+    if (!state.en)
+        state.en = std::make_unique<qcache::CachedEnumerator>(
             t.ctx, test.formula, t.blockVars, cfg.blockingBits,
             t.useEnumCache ? cfg.queryCache : nullptr);
-    qcache::CachedEnumerator &en = *pair.en;
+    qcache::CachedEnumerator &en = *state.en;
     if (cfg.strategy == SolveStrategy::RandomPhases)
         en.randomizePhases(t.rng);
     if (t.oneshot && attempt == 0)
         en.rebuild();
 
-    qcache::CachedEnumerator::Step step;
-    step.outcome = smt::Outcome::Unsat;
+    // Unsat until a redraw runs: without one the test just fails.
+    qcache::CachedEnumerator::Step step{smt::Outcome::Unsat, {}};
     if (cfg.coverage == Coverage::PcAndLine) {
         // Randomly drawn set-index classes often contradict the
         // relation (e.g. distinct classes pinned inside the attacker
@@ -562,7 +562,7 @@ solveEnumerated(TaskState &t, TestState &test, int attempt,
     if (step.outcome == smt::Outcome::Sat) {
         test.model = std::move(step.model);
         if (en.dead())
-            pair.dead = true;
+            state.dead = true;
         return false;
     }
     // Without per-test coverage constraints an Unsat relation stays

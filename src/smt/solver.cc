@@ -185,14 +185,13 @@ tallyQuery(Outcome outcome, double start_time)
 
 namespace {
 
-/** The query tail every solve entry point shares. */
+/** The tail every solve entry point shares: tally the SAT answer. */
 Outcome
 tallyResult(sat::Result result, double start_time)
 {
     switch (result) {
       case sat::Result::Sat: return tallyQuery(Outcome::Sat, start_time);
-      case sat::Result::Unsat:
-        return tallyQuery(Outcome::Unsat, start_time);
+      case sat::Result::Unsat: return tallyQuery(Outcome::Unsat, start_time);
       case sat::Result::Unknown: break;
     }
     return tallyQuery(Outcome::Unknown, start_time);
