@@ -233,19 +233,22 @@ Program::validate() const
     if (n == 0)
         return "empty program";
     auto regOk = [](Reg r) { return r >= 0 && r < kNumRegs; };
+    // The "instr N: " prefix is built only on the failing path: the
+    // check runs on every instrumented and every simulated program.
+    auto fail = [](int idx, const char *what) {
+        return "instr " + std::to_string(idx) + ": " + what;
+    };
     for (int idx = 0; idx < n; ++idx) {
         const Instr &i = code[idx];
-        std::ostringstream err;
-        err << "instr " << idx << ": ";
         for (Reg r : i.sourceRegs()) {
             if (!regOk(r))
-                return err.str() + "source register out of range";
+                return fail(idx, "source register out of range");
         }
         if (i.destReg() != -1 && !regOk(i.destReg()))
-            return err.str() + "destination register out of range";
+            return fail(idx, "destination register out of range");
         if (i.kind == InstrKind::Branch || i.kind == InstrKind::Jump) {
             if (i.target < 0 || i.target > n)
-                return err.str() + "target out of range";
+                return fail(idx, "target out of range");
         }
     }
     const Instr &last = code.back();

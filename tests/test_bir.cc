@@ -94,6 +94,48 @@ TEST(Program, ValidateRejectsBadRegister)
     EXPECT_NE(p.validate(), "");
 }
 
+TEST(Program, ValidateMessagesAreExact)
+{
+    // Every failure kind, with the instruction index in the prefix
+    // where there is one.
+    EXPECT_EQ(Program().validate(), "empty program");
+
+    Program src;
+    src.push(Instr::movImm(0, 1));
+    src.push(Instr::alu(AluOp::Add, 1, 2, -1)); // x-1 read
+    src.push(Instr::halt());
+    EXPECT_EQ(src.validate(), "instr 1: source register out of range");
+
+    Program store_value;
+    store_value.push(Instr::storeImm(kNumRegs, 0, 8)); // value reg read
+    store_value.push(Instr::halt());
+    EXPECT_EQ(store_value.validate(),
+              "instr 0: source register out of range");
+
+    Program dst;
+    dst.push(Instr::movImm(0, 1));
+    dst.push(Instr::movImm(1, 2));
+    dst.push(Instr::movImm(kNumRegs, 3));
+    dst.push(Instr::halt());
+    EXPECT_EQ(dst.validate(),
+              "instr 2: destination register out of range");
+
+    Program target;
+    target.push(Instr::jump(-1));
+    EXPECT_EQ(target.validate(), "instr 0: target out of range");
+
+    Program branch_target;
+    branch_target.push(Instr::movImm(0, 1));
+    branch_target.push(Instr::branchImm(CmpOp::Eq, 0, 0, 4));
+    branch_target.push(Instr::halt());
+    EXPECT_EQ(branch_target.validate(), "instr 1: target out of range");
+
+    Program open;
+    open.push(Instr::movImm(0, 1));
+    open.push(Instr::movImm(1, 2));
+    EXPECT_EQ(open.validate(), "last instruction does not terminate");
+}
+
 TEST(Program, UsedRegsSortedUnique)
 {
     Program p;
