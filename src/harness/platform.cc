@@ -39,8 +39,9 @@ Platform::prepare(const ProgramInput &input)
         core.memory().store(addr, val);
 }
 
-Platform::Measurement
-Platform::measure(const bir::Program &program, const ProgramInput &input)
+void
+Platform::measure(const bir::Program &program, const ProgramInput &input,
+                  Measurement &m)
 {
     prepare(input);
 
@@ -90,15 +91,13 @@ Platform::measure(const bir::Program &program, const ProgramInput &input)
         core.cache().access(addr);
     }
 
-    Measurement m;
     if (cfg.channel == Channel::TlbSnapshot) {
         m.tlb = core.tlb().snapshot();
     } else if (cfg.channel == Channel::PrimeProbe) {
         // Probe: time a reload of every primed line (PMC cycles).
         // Victim activity in a set evicted attacker ways, turning
         // probe hits into misses.
-        m.probeLatencies.reserve(cfg.visibleHiSet - cfg.visibleLoSet +
-                                 1);
+        m.probeLatencies.clear();
         for (std::uint64_t set = cfg.visibleLoSet;
              set <= cfg.visibleHiSet; ++set) {
             // Probe in reverse prime order: refreshing the most-
@@ -115,10 +114,9 @@ Platform::measure(const bir::Program &program, const ProgramInput &input)
             m.probeLatencies.push_back(total);
         }
     } else {
-        m.cache = core.cache().snapshot(cfg.visibleLoSet,
-                                        cfg.visibleHiSet);
+        core.cache().snapshot(cfg.visibleLoSet, cfg.visibleHiSet,
+                              m.cache);
     }
-    return m;
 }
 
 ExperimentResult
@@ -126,6 +124,7 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
                         const std::optional<ProgramInput> &training)
 {
     SCAMV_ASSERT(cfg.repeats > 0, "repeats must be positive");
+    SCAMV_ASSERT(program.validate().empty(), "platform: invalid program");
     metrics::Registry &reg = metrics::current();
     reg.counter("platform.experiments").inc();
     reg.counter("platform.repetitions")
@@ -160,8 +159,8 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
             core.run(program, warmup.regs, runScratch);
         }
 
-        const Measurement m1 = measure(program, tc.s1);
-        const Measurement m2 = measure(program, tc.s2);
+        measure(program, tc.s1, m1);
+        measure(program, tc.s2, m2);
         const bool flaked = faults::injectedCount() != faults_before;
         if (flaked)
             ++result.flakedReps;
@@ -171,6 +170,7 @@ Platform::runExperiment(const bir::Program &program, const TestCase &tc,
                 ++clean_differing;
         }
     }
+    core.flushCounters();
 
     if (result.flakedReps == 0) {
         if (result.differingReps == 0)
@@ -199,8 +199,11 @@ Platform::probeOnce(const bir::Program &program,
 {
     SCAMV_ASSERT(cfg.channel == Channel::PrimeProbe,
                  "probeOnce requires the PrimeProbe channel");
+    SCAMV_ASSERT(program.validate().empty(), "platform: invalid program");
     core.resetMicroarch();
-    return measure(program, input).probeLatencies;
+    measure(program, input, m1);
+    core.flushCounters();
+    return m1.probeLatencies;
 }
 
 } // namespace scamv::harness

@@ -139,7 +139,8 @@ class Platform
     const PlatformConfig &config() const { return cfg; }
 
   private:
-    /** One channel measurement: snapshot or probe latencies. */
+    /** One channel measurement: snapshot or probe latencies.  Only
+     *  the configured channel's member is filled. */
     struct Measurement {
         hw::CacheState cache;
         std::vector<std::uint64_t> probeLatencies;
@@ -149,16 +150,20 @@ class Platform
     };
 
     void prepare(const ProgramInput &input);
-    Measurement measure(const bir::Program &program,
-                        const ProgramInput &input);
+    /** Run `input` and measure the channel into `m` (buffers reused). */
+    void measure(const bir::Program &program, const ProgramInput &input,
+                 Measurement &m);
 
     PlatformConfig cfg;
     Rng noiseRng;
     /** The board: built once, reset to its post-construction state
-     *  (Core::resetMicroarch) before every repetition and probe. */
+     *  (Core::resetMicroarch) before every repetition and probe.  Its
+     *  hw.* counters are flushed once per experiment and probe. */
     hw::Core core;
     /** Reused run-result buffer (trace capacity persists). */
     hw::RunResult runScratch;
+    /** Reused measurements of the two states. */
+    Measurement m1, m2;
 };
 
 } // namespace scamv::harness

@@ -8,14 +8,25 @@ namespace scamv::hw {
 
 Cache::Cache(const obs::CacheGeometry &geom)
     : geom(geom),
-      lines(static_cast<std::size_t>(geom.numSets) * geom.ways)
-{}
+      lines(static_cast<std::size_t>(geom.numSets) * geom.ways),
+      setDirty(geom.numSets, 0)
+{
+    // A tag has 64 - lineShift - setShift bits, so it can equal the
+    // snapshot padding only when a line maps one byte to one set.
+    SCAMV_ASSERT(geom.lineShift() + geom.setShift() > 0,
+                 "cache needs more than one byte per set");
+    dirtySets.reserve(geom.numSets);
+}
 
 void
 Cache::reset()
 {
-    for (Line &l : lines)
-        l = Line{};
+    for (const std::uint32_t s : dirtySets) {
+        Line *const set = &line(s, 0);
+        std::fill(set, set + geom.ways, Line{});
+        setDirty[s] = 0;
+    }
+    dirtySets.clear();
     lruClock = 0;
 }
 
@@ -50,6 +61,10 @@ Cache::access(std::uint64_t addr)
     victim->valid = true;
     victim->tag = tag;
     victim->lru = lruClock;
+    if (!setDirty[set_idx]) {
+        setDirty[set_idx] = 1;
+        dirtySets.push_back(static_cast<std::uint32_t>(set_idx));
+    }
     return false;
 }
 
@@ -78,24 +93,27 @@ Cache::flushLine(std::uint64_t addr)
     }
 }
 
-CacheState
-Cache::snapshot(std::uint64_t lo_set, std::uint64_t hi_set) const
+void
+Cache::snapshot(std::uint64_t lo_set, std::uint64_t hi_set,
+                CacheState &out) const
 {
     SCAMV_ASSERT(lo_set <= hi_set && hi_set < geom.numSets,
                  "snapshot range out of bounds");
-    CacheState state;
-    state.reserve(hi_set - lo_set + 1);
-    for (std::uint64_t s = lo_set; s <= hi_set; ++s) {
-        CacheSetState tags;
+    // A set outside the dirty list holds no valid line: its slots
+    // stay padding.
+    out.assign((hi_set - lo_set + 1) * geom.ways, kNoTag);
+    for (const std::uint64_t s : dirtySets) {
+        if (s < lo_set || s > hi_set)
+            continue;
+        std::uint64_t *const first = &out[(s - lo_set) * geom.ways];
+        std::uint64_t *slot = first;
         for (std::uint64_t w = 0; w < geom.ways; ++w) {
             const Line &l = line(s, w);
             if (l.valid)
-                tags.push_back(l.tag);
+                *slot++ = l.tag;
         }
-        std::sort(tags.begin(), tags.end());
-        state.push_back(std::move(tags));
+        std::sort(first, slot);
     }
-    return state;
 }
 
 } // namespace scamv::hw

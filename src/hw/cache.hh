@@ -19,11 +19,16 @@
 
 namespace scamv::hw {
 
-/** Per-set snapshot: sorted valid tags. */
-using CacheSetState = std::vector<std::uint64_t>;
+/**
+ * Snapshot of a set range, flat: `ways` slots per set, set-major.
+ * Each set's slots hold its valid tags in ascending order, then
+ * kNoTag in every unused slot, so two snapshots are equal exactly
+ * when every set holds the same tag set.
+ */
+using CacheState = std::vector<std::uint64_t>;
 
-/** Full-cache snapshot: one CacheSetState per set index. */
-using CacheState = std::vector<CacheSetState>;
+/** Padding of an unused snapshot slot; never a tag (see Cache). */
+inline constexpr std::uint64_t kNoTag = ~0ULL;
 
 /** LRU set-associative cache. */
 class Cache
@@ -31,7 +36,10 @@ class Cache
   public:
     explicit Cache(const obs::CacheGeometry &geom = {});
 
-    /** Invalidate every line (the platform clears before each run). */
+    /**
+     * Invalidate every line (the platform clears before each run).
+     * Only the sets allocated into since the last reset are wiped.
+     */
     void reset();
 
     /**
@@ -46,8 +54,21 @@ class Cache
     /** Invalidate the line containing addr if present. */
     void flushLine(std::uint64_t addr);
 
+    /**
+     * Snapshot sets [lo_set, hi_set] inclusive into `out`, reusing
+     * its capacity: `(hi_set - lo_set + 1) * ways` slots.
+     */
+    void snapshot(std::uint64_t lo_set, std::uint64_t hi_set,
+                  CacheState &out) const;
+
     /** @return snapshot of sets [lo_set, hi_set] inclusive. */
-    CacheState snapshot(std::uint64_t lo_set, std::uint64_t hi_set) const;
+    CacheState
+    snapshot(std::uint64_t lo_set, std::uint64_t hi_set) const
+    {
+        CacheState out;
+        snapshot(lo_set, hi_set, out);
+        return out;
+    }
 
     /** @return snapshot of the whole cache. */
     CacheState snapshot() const { return snapshot(0, geom.numSets - 1); }
@@ -79,6 +100,11 @@ class Cache
      * contiguous allocation instead of one vector per set — the hot
      * access() scan walks `ways` adjacent elements. */
     std::vector<Line> lines;
+    /** Sets allocated into since the last reset, each listed once;
+     *  `setDirty` flags membership.  Every other set is all-invalid
+     *  with zero LRU stamps, so reset() leaves it alone. */
+    std::vector<std::uint32_t> dirtySets;
+    std::vector<std::uint8_t> setDirty;
     std::uint64_t lruClock = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;

@@ -143,6 +143,7 @@ Core::speculate(const bir::Program &program, int wrong_pc,
 RunResult
 Core::run(const bir::Program &program, const ArchState &init)
 {
+    SCAMV_ASSERT(program.validate().empty(), "core: invalid program");
     RunResult result;
     run(program, init, result);
     return result;
@@ -152,7 +153,6 @@ void
 Core::run(const bir::Program &program, const ArchState &init,
           RunResult &out)
 {
-    SCAMV_ASSERT(program.validate().empty(), "core: invalid program");
     out.reset();
     RunResult &result = out;
     const std::uint64_t cache_hits0 = dcache.hits();
@@ -243,32 +243,50 @@ Core::run(const bir::Program &program, const ArchState &init,
     }
     result.finalState.regs = regs;
 
-    // Flush this run's microarchitectural activity into the current
-    // metrics registry (per-program inside a pipeline task, global
-    // otherwise).  One batch per run keeps the per-access paths free
-    // of registry lookups.
+    ++tally.runs;
+    tally.instructions += result.instructions;
+    tally.cycles += result.cycles;
+    tally.cacheHits += dcache.hits() - cache_hits0;
+    tally.cacheMisses += dcache.misses() - cache_misses0;
+    tally.prefetches += result.prefetches;
+    tally.mispredicts += result.mispredicts;
+    tally.tlbMisses += result.tlbMisses;
+    tally.transientLoadsIssued += result.transientLoadsIssued;
+    tally.transientLoadsBlocked += result.transientLoadsBlocked;
+}
+
+void
+Core::flushCounters()
+{
+    // Into the current registry: per-program inside a pipeline task,
+    // global otherwise.
     metrics::Registry &reg = metrics::current();
-    reg.counter("hw.runs").inc();
-    reg.counter("hw.instructions").add(result.instructions);
-    reg.counter("hw.cycles").add(result.cycles);
-    reg.counter("hw.cache.hits").add(dcache.hits() - cache_hits0);
-    reg.counter("hw.cache.misses").add(dcache.misses() - cache_misses0);
-    reg.counter("hw.prefetch.issued").add(result.prefetches);
-    reg.counter("hw.branch.mispredicts").add(result.mispredicts);
-    reg.counter("hw.tlb.misses").add(result.tlbMisses);
-    reg.counter("hw.transient_loads.issued")
-        .add(result.transientLoadsIssued);
-    reg.counter("hw.transient_loads.blocked")
-        .add(result.transientLoadsBlocked);
+    if (tally.runs > 0) {
+        reg.counter("hw.runs").add(tally.runs);
+        reg.counter("hw.instructions").add(tally.instructions);
+        reg.counter("hw.cycles").add(tally.cycles);
+        reg.counter("hw.cache.hits").add(tally.cacheHits);
+        reg.counter("hw.cache.misses").add(tally.cacheMisses);
+        reg.counter("hw.prefetch.issued").add(tally.prefetches);
+        reg.counter("hw.branch.mispredicts").add(tally.mispredicts);
+        reg.counter("hw.tlb.misses").add(tally.tlbMisses);
+        reg.counter("hw.transient_loads.issued")
+            .add(tally.transientLoadsIssued);
+        reg.counter("hw.transient_loads.blocked")
+            .add(tally.transientLoadsBlocked);
+    }
+    if (tally.probeHits > 0)
+        reg.counter("hw.probe.hits").add(tally.probeHits);
+    if (tally.probeMisses > 0)
+        reg.counter("hw.probe.misses").add(tally.probeMisses);
+    tally = HwTally{};
 }
 
 std::uint64_t
 Core::timedLoad(std::uint64_t addr)
 {
     const bool hit = dcache.access(addr);
-    metrics::current()
-        .counter(hit ? "hw.probe.hits" : "hw.probe.misses")
-        .inc();
+    ++(hit ? tally.probeHits : tally.probeMisses);
     std::uint64_t latency = hit ? cfg.hitLatency : cfg.missLatency;
     // Injected probe jitter: a DRAM-refresh-style latency spike on
     // top of whatever the cache state dictates.

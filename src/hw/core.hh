@@ -114,6 +114,26 @@ struct RunResult {
     }
 };
 
+/**
+ * hw.* counter totals a core has not yet reported to a metrics
+ * registry.  Core::run and Core::timedLoad add here; flushCounters()
+ * hands the totals over, so the per-run path does no registry lookup.
+ */
+struct HwTally {
+    std::uint64_t runs = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t cacheHits = 0;
+    std::uint64_t cacheMisses = 0;
+    std::uint64_t prefetches = 0;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t tlbMisses = 0;
+    std::uint64_t transientLoadsIssued = 0;
+    std::uint64_t transientLoadsBlocked = 0;
+    std::uint64_t probeHits = 0;
+    std::uint64_t probeMisses = 0;
+};
+
 /** The processor: core + cache + prefetcher + predictor + memory. */
 class Core
 {
@@ -121,16 +141,28 @@ class Core
     explicit Core(const CoreConfig &config = {},
                   std::uint64_t board_seed = 0xb0a2dULL);
 
-    /** Run a program from an initial register state. */
+    /**
+     * Run a program from an initial register state.  Panics unless
+     * `program` validates.
+     */
     RunResult run(const bir::Program &program, const ArchState &init);
 
     /**
      * Allocation-free variant: resets `out` (keeping its trace
      * capacity) and runs into it.  Behaviourally identical to the
-     * returning overload.
+     * returning overload, but `program` must already validate():
+     * harness::Platform checks it once per experiment, not per run.
      */
     void run(const bir::Program &program, const ArchState &init,
              RunResult &out);
+
+    /**
+     * Add the counters tallied since the last flush to
+     * metrics::current() and zero the tally.  The per-run counters
+     * (hw.runs, hw.cycles, ...) are created only if a run happened,
+     * each hw.probe.* counter only if such a probe happened.
+     */
+    void flushCounters();
 
     /**
      * Restore every microarchitectural structure to its
@@ -173,6 +205,7 @@ class Core
     StridePrefetcher pf;
     BranchPredictor bpred;
     Memory mem;
+    HwTally tally;
 };
 
 } // namespace scamv::hw

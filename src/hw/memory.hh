@@ -13,7 +13,7 @@
 #define SCAMV_HW_MEMORY_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace scamv::hw {
 
@@ -22,11 +22,11 @@ class Memory
 {
   public:
     explicit Memory(std::uint64_t board_seed = 0xb0a2dULL)
-        : boardSeed(board_seed)
+        : boardSeed(board_seed), slots(kInitialSlots, Slot{kEmpty, 0})
     {}
 
     /** Remove all explicit writes (junk fill persists). */
-    void clear() { words.clear(); }
+    void clear();
 
     /** @return the word containing addr (addr rounded down to 8). */
     std::uint64_t load(std::uint64_t addr) const;
@@ -37,14 +37,32 @@ class Memory
     /** @return true iff the cell was explicitly written. */
     bool written(std::uint64_t addr) const
     {
-        return words.count(addr & ~7ULL) != 0;
+        return slots[find(addr & ~7ULL)].key != kEmpty;
     }
 
   private:
+    /** Written words: an open-addressing table keyed by the word
+     *  address, with linear probing, kept at most half full.  Word
+     *  addresses are multiples of 8, so the odd kEmpty never is one.
+     *  `used` lists the occupied slots, so clear() costs what was
+     *  written since the last clear. */
+    struct Slot {
+        std::uint64_t key;
+        std::uint64_t value;
+    };
+    static constexpr std::uint64_t kEmpty = 1;
+    static constexpr std::size_t kInitialSlots = 64;
+
     std::uint64_t junk(std::uint64_t addr) const;
+    /** @return the slot holding `key`, or the empty slot that ends
+     *  its probe sequence. */
+    std::size_t find(std::uint64_t key) const;
+    /** Double the table and re-insert every written word. */
+    void grow();
 
     std::uint64_t boardSeed;
-    std::unordered_map<std::uint64_t, std::uint64_t> words;
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> used;
 };
 
 } // namespace scamv::hw

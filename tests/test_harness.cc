@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+
 #include "bir/asm.hh"
 #include "harness/flush_reload.hh"
 #include "harness/platform.hh"
+#include "support/metrics.hh"
 
 namespace scamv::harness {
 namespace {
@@ -164,6 +169,139 @@ TEST(Platform, NoNoiseNoInconclusives)
     for (int i = 0; i < 5; ++i)
         EXPECT_NE(platform.runExperiment(p, tc).verdict,
                   Verdict::Inconclusive);
+}
+
+/**
+ * The counters one runExperiment must report, replayed run by run on
+ * a bare core: the platform's protocol with every run's RunResult
+ * (and its cache hit/miss delta) summed into the hw.* counters.
+ */
+std::map<std::string, std::uint64_t>
+replayCounters(const PlatformConfig &cfg, const bir::Program &p,
+               const TestCase &tc,
+               const std::optional<ProgramInput> &training)
+{
+    std::map<std::string, std::uint64_t> sum = {
+        {"platform.experiments", 1},
+        {"platform.repetitions", cfg.repeats},
+        {"platform.training_runs", cfg.repeats * cfg.trainingRuns}};
+    hw::Core core(cfg.core, cfg.boardSeed);
+    const obs::CacheGeometry &g = cfg.core.geom;
+    const bool prime_probe = cfg.channel == Channel::PrimeProbe;
+    auto primed = [&](std::uint64_t set, std::uint64_t way) {
+        return cfg.attackerArrayBase + (way * g.numSets + set) * g.lineBytes;
+    };
+    auto run_once = [&](const ProgramInput &in, bool measured) {
+        core.cache().reset();
+        if (measured)
+            core.tlb().reset();
+        core.prefetcher().reset();
+        core.memory().clear();
+        for (const auto &[addr, val] : in.mem)
+            core.memory().store(addr, val);
+        for (std::uint64_t set = cfg.visibleLoSet;
+             measured && prime_probe && set <= cfg.visibleHiSet; ++set)
+            for (std::uint64_t way = 0; way < g.ways; ++way)
+                core.cache().access(primed(set, way));
+        const std::uint64_t hits0 = core.cache().hits();
+        const std::uint64_t misses0 = core.cache().misses();
+        const hw::RunResult r = core.run(p, in.regs);
+        sum["hw.runs"] += 1;
+        sum["hw.instructions"] += r.instructions;
+        sum["hw.cycles"] += r.cycles;
+        sum["hw.cache.hits"] += core.cache().hits() - hits0;
+        sum["hw.cache.misses"] += core.cache().misses() - misses0;
+        sum["hw.prefetch.issued"] += r.prefetches;
+        sum["hw.branch.mispredicts"] += r.mispredicts;
+        sum["hw.tlb.misses"] += r.tlbMisses;
+        sum["hw.transient_loads.issued"] += r.transientLoadsIssued;
+        sum["hw.transient_loads.blocked"] += r.transientLoadsBlocked;
+        for (std::uint64_t set = cfg.visibleLoSet;
+             measured && prime_probe && set <= cfg.visibleHiSet; ++set)
+            for (std::uint64_t way = g.ways; way > 0; --way)
+                ++sum[core.timedLoad(primed(set, way - 1)) ==
+                              cfg.core.hitLatency
+                          ? "hw.probe.hits"
+                          : "hw.probe.misses"];
+    };
+    for (int rep = 0; rep < cfg.repeats; ++rep) {
+        core.resetMicroarch();
+        for (int t = 0; t < cfg.trainingRuns; ++t)
+            run_once(training ? *training : tc.s1, false);
+        run_once(tc.s1, true);
+        run_once(tc.s2, true);
+    }
+    return sum;
+}
+
+TEST(Platform, CounterFlushEqualsPerRunSums)
+{
+    // The platform reports its core's hw.* counters once per
+    // experiment; the totals must be the per-run sums, and the names
+    // exactly those a per-run report creates: hw.probe.* only under
+    // Prime+Probe.  A stride prefix trains the prefetcher and the
+    // SiSCloak gadget mispredicts and loads transiently.
+    auto p = prog("ldr x2, [x0, x1]\n"
+                  "ldr x7, [x0, #64]\n"
+                  "ldr x8, [x0, #128]\n"
+                  "b.ne x1, x4, end\n"
+                  "ldr x6, [x5, x2]\n"
+                  "end: ret\n");
+    TestCase tc;
+    tc.s1 = input({{0, 0x80000}, {4, 99}}, {{0x80000, 0x90000}});
+    tc.s2 = input({{0, 0x80000}, {4, 99}}, {{0x80000, 0xa1040}});
+    const ProgramInput train = input({{0, 0x80000}}, {{0x80000, 0x88000}});
+    for (const Channel channel :
+         {Channel::TrustZoneSnapshot, Channel::PrimeProbe,
+          Channel::TlbSnapshot}) {
+        PlatformConfig cfg;
+        cfg.channel = channel;
+        Platform platform(cfg);
+        for (const std::optional<ProgramInput> &training :
+             {std::optional<ProgramInput>{train},
+              std::optional<ProgramInput>{}}) {
+            metrics::Registry reg(metrics::ClockMode::Deterministic);
+            {
+                metrics::ScopedRegistry scope(reg);
+                platform.runExperiment(p, tc, training);
+            }
+            const auto got = reg.snapshot().counters;
+            EXPECT_EQ(got, replayCounters(cfg, p, tc, training))
+                << "channel " << static_cast<int>(channel);
+            const bool pp = channel == Channel::PrimeProbe;
+            EXPECT_EQ(got.count("hw.probe.hits"), pp ? 1u : 0u);
+            EXPECT_EQ(got.count("hw.probe.misses"), pp ? 1u : 0u);
+            if (training) {
+                EXPECT_GT(got.at("hw.transient_loads.issued"), 0u);
+                EXPECT_GT(got.at("hw.prefetch.issued"), 0u);
+            }
+        }
+    }
+}
+
+TEST(Platform, ProbeOnceFlushesItsCounters)
+{
+    PlatformConfig cfg;
+    cfg.channel = Channel::PrimeProbe;
+    Platform platform(cfg);
+    auto p = prog("ldr x1, [x0]\nret\n");
+    metrics::Registry reg(metrics::ClockMode::Deterministic);
+    std::vector<std::uint64_t> lat;
+    {
+        metrics::ScopedRegistry scope(reg);
+        lat = platform.probeOnce(p, input({{0, 0x80000}}));
+    }
+    const auto got = reg.snapshot().counters;
+    // One victim line evicts one primed way of one set.
+    const std::uint64_t probes = 128 * cfg.core.geom.ways;
+    EXPECT_EQ(got.at("hw.runs"), 1u);
+    EXPECT_EQ(got.at("hw.probe.misses"), 1u);
+    EXPECT_EQ(got.at("hw.probe.hits"), probes - 1);
+    std::uint64_t total = 0;
+    for (std::uint64_t l : lat)
+        total += l;
+    EXPECT_EQ(total, (probes - 1) * cfg.core.hitLatency +
+                         cfg.core.missLatency);
 }
 
 TEST(Platform, InputFromAssignmentExtractsState)

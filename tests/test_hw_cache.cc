@@ -2,10 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hw/cache.hh"
+#include "support/rng.hh"
 
 namespace scamv::hw {
 namespace {
+
+/** Valid tags in set `i` of a flat snapshot (non-padding slots). */
+std::size_t
+tagsIn(const CacheState &snap, std::size_t i, std::uint64_t ways)
+{
+    std::size_t n = 0;
+    for (std::uint64_t w = 0; w < ways; ++w)
+        n += snap[i * ways + w] != kNoTag;
+    return n;
+}
 
 TEST(Cache, MissThenHit)
 {
@@ -82,10 +95,10 @@ TEST(Cache, SnapshotReflectsContents)
     c.access(0x80000);          // set 0 (0x80000 is set-aligned)
     c.access(0x80000 + 5 * 64); // set 5
     const CacheState snap = c.snapshot();
-    ASSERT_EQ(snap.size(), 128u);
     const auto g = c.geometry();
-    EXPECT_EQ(snap[g.setOf(0x80000)].size(), 1u);
-    EXPECT_EQ(snap[g.setOf(0x80000 + 5 * 64)].size(), 1u);
+    ASSERT_EQ(snap.size(), 128u * g.ways);
+    EXPECT_EQ(tagsIn(snap, g.setOf(0x80000), g.ways), 1u);
+    EXPECT_EQ(tagsIn(snap, g.setOf(0x80000 + 5 * 64), g.ways), 1u);
 }
 
 TEST(Cache, SnapshotRangeRestricts)
@@ -97,13 +110,29 @@ TEST(Cache, SnapshotRangeRestricts)
     c.access(0x80000 + 100 * 64);
     ASSERT_EQ(g.setOf(0x80000 + 10 * 64), 10u);
     const CacheState snap = c.snapshot(61, 127);
-    ASSERT_EQ(snap.size(), 67u);
-    EXPECT_EQ(snap[100 - 61].size(), 1u);
+    ASSERT_EQ(snap.size(), 67u * g.ways);
+    EXPECT_EQ(tagsIn(snap, 100 - 61, g.ways), 1u);
     // Set 10 excluded entirely.
     std::size_t total = 0;
-    for (const auto &s : snap)
-        total += s.size();
+    for (std::size_t i = 0; i < 67; ++i)
+        total += tagsIn(snap, i, g.ways);
     EXPECT_EQ(total, 1u);
+}
+
+TEST(Cache, SnapshotSlotsAreSortedTagsThenPadding)
+{
+    Cache c;
+    const auto g = c.geometry();
+    const std::uint64_t stride = g.lineBytes * g.numSets; // same set
+    c.access(0x80000 + 7 * stride + 64);
+    c.access(0x80000 + 64);
+    c.access(0x80000 + 3 * stride + 64);
+    CacheState snap = {1, 2, 3}; // stale contents are overwritten
+    c.snapshot(1, 2, snap);
+    const std::uint64_t t0 = g.tagOf(0x80000);
+    EXPECT_EQ(snap, (CacheState{t0, t0 + 3, t0 + 7, kNoTag, // set 1
+                                kNoTag, kNoTag, kNoTag, kNoTag}));
+    EXPECT_EQ(c.snapshot(1, 2), snap);
 }
 
 TEST(Cache, SnapshotsAreOrderCanonical)
@@ -138,6 +167,74 @@ TEST(Cache, CustomGeometry)
     EXPECT_TRUE(c.probe(0));
     EXPECT_FALSE(c.access(2 * 32 * 16)); // evicts LRU (tag 0)
     EXPECT_FALSE(c.probe(0));
+}
+
+/** Address with the given tag and set index in geometry g. */
+std::uint64_t
+addrOf(const obs::CacheGeometry &g, std::uint64_t tag, std::uint64_t set)
+{
+    return (tag << (g.lineShift() + g.setShift())) |
+           (set << g.lineShift());
+}
+
+/** A random line biased toward a few sets, so sets fill and evict. */
+std::uint64_t
+randomLine(const obs::CacheGeometry &g, Rng &rng)
+{
+    const std::uint64_t set =
+        rng.chance(0.5) ? rng.below(std::min<std::uint64_t>(g.numSets, 4))
+                        : rng.below(g.numSets);
+    return addrOf(g, 0x40 + rng.below(g.ways + 3), set) +
+           rng.below(g.lineBytes);
+}
+
+TEST(Cache, DirtySetResetMatchesFreshCache)
+{
+    // reset() wipes only the sets allocated into since the previous
+    // reset; the cache it leaves must be indistinguishable from a new
+    // one, in its snapshot and in the hits and victims of whatever
+    // access stream follows.
+    obs::CacheGeometry custom;
+    custom.lineBytes = 32;
+    custom.numSets = 16;
+    custom.ways = 3;
+    for (const obs::CacheGeometry &g : {obs::CacheGeometry{}, custom}) {
+        Rng rng(4242 + g.ways);
+        Cache reused(g);
+        for (int round = 0; round < 60; ++round) {
+            // Dirty the cache: accesses, flushes and mid-stream resets.
+            const int ops = static_cast<int>(rng.below(120));
+            for (int op = 0; op < ops; ++op) {
+                const std::uint64_t roll = rng.below(100);
+                if (roll < 75)
+                    reused.access(randomLine(g, rng));
+                else if (roll < 97)
+                    reused.flushLine(randomLine(g, rng));
+                else
+                    reused.reset();
+            }
+            reused.reset();
+            Cache fresh(g);
+            ASSERT_EQ(reused.snapshot(), fresh.snapshot())
+                << "geometry ways=" << g.ways << " round " << round;
+
+            for (int a = 0; a < 200; ++a) {
+                const std::uint64_t addr = randomLine(g, rng);
+                const std::uint64_t set = g.setOf(addr);
+                ASSERT_EQ(reused.access(addr), fresh.access(addr))
+                    << "round " << round << " access " << a;
+                ASSERT_EQ(reused.snapshot(set, set),
+                          fresh.snapshot(set, set))
+                    << "round " << round << " access " << a;
+                if (rng.chance(0.1)) {
+                    const std::uint64_t victim = randomLine(g, rng);
+                    reused.flushLine(victim);
+                    fresh.flushLine(victim);
+                }
+            }
+            ASSERT_EQ(reused.snapshot(), fresh.snapshot());
+        }
+    }
 }
 
 } // namespace

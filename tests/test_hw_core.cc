@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 
 #include "bir/asm.hh"
 #include "gen/templates.hh"
+#include "harness/platform.hh"
 #include "hw/core.hh"
+#include "support/metrics.hh"
 #include "support/rng.hh"
 
 namespace scamv::hw {
@@ -391,6 +394,115 @@ TEST(Core, ResetMicroarchMatchesFreshCore)
         }
     }
     EXPECT_GE(programs, 200);
+}
+
+TEST(Memory, MatchesMapReferenceAcrossGrowthAndClear)
+{
+    // The written-word table against a std::map: loads of written and
+    // junk cells, overwrites, clears, and enough distinct words (up to
+    // 600) to grow the table several times.
+    Memory mem(0xb0a2dULL);
+    const Memory junk(0xb0a2dULL);
+    std::map<std::uint64_t, std::uint64_t> ref;
+    Rng rng(99);
+    for (int round = 0; round < 40; ++round) {
+        const std::uint64_t span = 8 << rng.below(8); // 8..1024 words
+        const int ops = static_cast<int>(rng.below(1200));
+        for (int op = 0; op < ops; ++op) {
+            const std::uint64_t addr = 0x80000 + rng.below(span * 8);
+            if (rng.chance(0.5)) {
+                const std::uint64_t v = rng.next();
+                mem.store(addr, v);
+                ref[addr & ~7ULL] = v;
+            }
+            const auto it = ref.find(addr & ~7ULL);
+            ASSERT_EQ(mem.written(addr), it != ref.end());
+            ASSERT_EQ(mem.load(addr),
+                      it != ref.end() ? it->second : junk.load(addr))
+                << "round " << round << " op " << op;
+        }
+        for (const auto &[addr, v] : ref)
+            ASSERT_EQ(mem.load(addr + rng.below(8)), v);
+        mem.clear();
+        for (const auto &[addr, v] : ref) {
+            ASSERT_FALSE(mem.written(addr));
+            ASSERT_EQ(mem.load(addr), junk.load(addr));
+        }
+        ref.clear();
+    }
+}
+
+/** A random input: registers in the data region plus a few words. */
+harness::ProgramInput
+randomInput(Rng &rng)
+{
+    harness::ProgramInput in;
+    in.regs = randomState(rng);
+    for (int w = static_cast<int>(rng.below(4)); w > 0; --w)
+        in.mem.emplace_back(in.regs.regs[rng.below(bir::kNumRegs)],
+                            rng.range(0x80000, 0x100000));
+    return in;
+}
+
+TEST(Core, PlatformReuseMatchesFreshOnEveryChannel)
+{
+    // The same contract one level up: a Platform reuses its core, its
+    // measurement buffers and its counter tally across experiments,
+    // so every experiment must give the verdict and the counters of
+    // the same experiment on a Platform built just for it.
+    using harness::Channel;
+    for (const Channel channel :
+         {Channel::TrustZoneSnapshot, Channel::PrimeProbe,
+          Channel::TlbSnapshot}) {
+        harness::PlatformConfig cfg;
+        cfg.channel = channel;
+        cfg.visibleLoSet = channel == Channel::PrimeProbe ? 61 : 0;
+        harness::Platform reused(cfg, 7);
+        Rng rng(1618 + static_cast<int>(channel));
+        int experiments = 0;
+        for (const auto &[kind, count] :
+             {std::pair{gen::TemplateKind::A, 20},
+              std::pair{gen::TemplateKind::Stride, 20},
+              std::pair{gen::TemplateKind::B, 8},
+              std::pair{gen::TemplateKind::C, 8},
+              std::pair{gen::TemplateKind::D, 8}}) {
+            gen::ProgramGenerator generator(kind, 57 + experiments);
+            for (int i = 0; i < count; ++i, ++experiments) {
+                const bir::Program p = generator.next();
+                harness::TestCase tc;
+                tc.s1 = randomInput(rng);
+                // Half the pairs share s1's registers, so some
+                // experiments come out indistinguishable.
+                tc.s2 = rng.chance(0.5) ? tc.s1 : randomInput(rng);
+                tc.s2.mem = randomInput(rng).mem;
+                std::optional<harness::ProgramInput> training;
+                if (rng.chance(0.5))
+                    training = randomInput(rng);
+
+                metrics::Registry got_reg(metrics::ClockMode::Deterministic);
+                metrics::Registry want_reg(
+                    metrics::ClockMode::Deterministic);
+                harness::ExperimentResult got, want;
+                {
+                    metrics::ScopedRegistry scope(got_reg);
+                    got = reused.runExperiment(p, tc, training);
+                }
+                {
+                    metrics::ScopedRegistry scope(want_reg);
+                    harness::Platform fresh(cfg, 7);
+                    want = fresh.runExperiment(p, tc, training);
+                }
+                ASSERT_EQ(got.verdict, want.verdict)
+                    << p.name() << " channel " << static_cast<int>(channel);
+                ASSERT_EQ(got.differingReps, want.differingReps)
+                    << p.name();
+                ASSERT_EQ(got_reg.snapshot().counters,
+                          want_reg.snapshot().counters)
+                    << p.name() << " channel " << static_cast<int>(channel);
+            }
+        }
+        EXPECT_EQ(experiments, 64);
+    }
 }
 
 } // namespace
