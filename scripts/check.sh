@@ -14,20 +14,37 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
 ASAN_DIR="${3:-build-asan}"
-GENERATOR=()
-command -v ninja > /dev/null && GENERATOR=(-G Ninja)
 JOBS="$(nproc 2> /dev/null || echo 2)"
 
+# Sets GENERATOR for build directory $1.  A configured directory keeps
+# the generator its CMakeCache.txt names (CMake refuses to switch, and
+# the tier-1 command configures build/ with the default Makefiles); a
+# new one uses Ninja when it is installed.
+generator_for() {
+    local cache="$1/CMakeCache.txt" gen=""
+    [[ -f "$cache" ]] &&
+        gen="$(sed -n 's/^CMAKE_GENERATOR:INTERNAL=//p' "$cache")"
+    GENERATOR=()
+    if [[ -n "$gen" ]]; then
+        GENERATOR=(-G "$gen")
+    elif command -v ninja > /dev/null; then
+        GENERATOR=(-G Ninja)
+    fi
+}
+
 echo "== tier-1: configure + build + ctest (${BUILD_DIR}) =="
+generator_for "$BUILD_DIR"
 cmake -B "$BUILD_DIR" -S . "${GENERATOR[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== TSan: thread pool + pipeline tests (${TSAN_DIR}) =="
+generator_for "$TSAN_DIR"
 cmake -B "$TSAN_DIR" -S . "${GENERATOR[@]}" -DSCAMV_ENABLE_TSAN=ON
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target test_thread_pool test_pipeline test_metrics test_qcache \
-    test_cover test_svc test_hotpath
+    test_cover test_svc test_hotpath test_hw_cache test_hw_core \
+    test_harness
 
 # Force a real multi-thread pool even on single-core CI runners so
 # TSan observes genuine cross-thread interleavings.
@@ -47,8 +64,14 @@ SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_hotpath \
 # Campaign service: worker fleet + merger thread + socket server.
 SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_svc \
     --gtest_filter='SvcTest.*'
+# Simulated board and experiment platform: per-core counter tallies
+# flushed into the task registry, reused measurement buffers.
+SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_hw_cache
+SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_hw_core
+SCAMV_THREADS=4 "$TSAN_DIR"/tests/test_harness
 
 echo "== ASan/UBSan: full test suite (${ASAN_DIR}) =="
+generator_for "$ASAN_DIR"
 cmake -B "$ASAN_DIR" -S . "${GENERATOR[@]}" -DSCAMV_ENABLE_ASAN=ON
 cmake --build "$ASAN_DIR" -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
