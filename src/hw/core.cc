@@ -279,7 +279,7 @@ Core::flushCounters()
         reg.counter("hw.probe.hits").add(tally.probeHits);
     if (tally.probeMisses > 0)
         reg.counter("hw.probe.misses").add(tally.probeMisses);
-    tally = HwTally{};
+    tally = Tally{};
 }
 
 std::uint64_t

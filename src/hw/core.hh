@@ -114,26 +114,6 @@ struct RunResult {
     }
 };
 
-/**
- * hw.* counter totals a core has not yet reported to a metrics
- * registry.  Core::run and Core::timedLoad add here; flushCounters()
- * hands the totals over, so the per-run path does no registry lookup.
- */
-struct HwTally {
-    std::uint64_t runs = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t prefetches = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t tlbMisses = 0;
-    std::uint64_t transientLoadsIssued = 0;
-    std::uint64_t transientLoadsBlocked = 0;
-    std::uint64_t probeHits = 0;
-    std::uint64_t probeMisses = 0;
-};
-
 /** The processor: core + cache + prefetcher + predictor + memory. */
 class Core
 {
@@ -205,7 +185,24 @@ class Core
     StridePrefetcher pf;
     BranchPredictor bpred;
     Memory mem;
-    HwTally tally;
+
+    /** hw.* counter totals not yet reported to a metrics registry:
+     *  run() and timedLoad() add here, so the per-run path does no
+     *  registry lookup; flushCounters() hands them over. */
+    struct Tally {
+        std::uint64_t runs = 0;
+        std::uint64_t instructions = 0;
+        std::uint64_t cycles = 0;
+        std::uint64_t cacheHits = 0;
+        std::uint64_t cacheMisses = 0;
+        std::uint64_t prefetches = 0;
+        std::uint64_t mispredicts = 0;
+        std::uint64_t tlbMisses = 0;
+        std::uint64_t transientLoadsIssued = 0;
+        std::uint64_t transientLoadsBlocked = 0;
+        std::uint64_t probeHits = 0;
+        std::uint64_t probeMisses = 0;
+    } tally;
 };
 
 } // namespace scamv::hw
